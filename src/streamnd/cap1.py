@@ -4,15 +4,20 @@ Per vertex and weight bucket the stream keeps the incident link whose lowest
 common ancestor sits closest to the root, plus, per vertex, a streaming MST
 over its child subtrees (contracted to supernodes).  After the stream, an
 exact solver picks the cheapest feasible subset of the retained links.
+
+The post-stream steps that cap1 and cap2 share live here as module functions:
+`unique_links` (the retained set), `solve_retained` (the exact solve with the
+base forced in) and `contracted_mst_links` (the Kruskal of `sol_from_opt`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InfeasibleError
 from .framework import exact_solve
-from .graph import ConnectivityMode, Graph, RequirementMap
+from .graph import ConnectivityMode, Graph, RequirementMap, tree_in_subtree, tree_lca
 from .streams import StreamingMst
 
 
@@ -75,22 +80,8 @@ class RootedTree:
             (self.parent[x], x) for x in range(self.n) if x != self.root
         )
 
-    def lca(self, u, v):
-        """Deepest vertex whose subtree contains both u and v (naive walk)."""
-        while self.depth[u] > self.depth[v]:
-            u = self.parent[u]
-        while self.depth[v] > self.depth[u]:
-            v = self.parent[v]
-        while u != v:
-            u = self.parent[u]
-            v = self.parent[v]
-        return u
-
-    def is_ancestor(self, a, x):
-        """True iff x lies in the subtree rooted at a (a counts)."""
-        while self.depth[x] > self.depth[a]:
-            x = self.parent[x]
-        return x == a
+    lca = tree_lca
+    in_subtree = tree_in_subtree
 
     def child_toward(self, x, u):
         """The child of x whose subtree contains u; u must be below x."""
@@ -99,10 +90,6 @@ class RootedTree:
         if self.parent[u] != x:
             raise ValueError(f"{u} is not below {x}")
         return u
-
-
-def lca(tree, u, v):
-    return tree.lca(u, v)
 
 
 @dataclass(frozen=True)
@@ -118,10 +105,60 @@ class LinkRec:
 
 
 @dataclass(frozen=True)
-class Cap1Result:
+class AugmentResult:
+    """Outcome of cap1's or cap2's post-stream solve."""
+
     stored: tuple  # every retained link
     solution: tuple  # chosen links, base re-entries filtered out
     weight: int
+
+
+def unique_links(recs):
+    """Link records deduplicated by id, in arrival order."""
+    by_lid = {rec.lid: rec for rec in recs}
+    return tuple(by_lid[lid] for lid in sorted(by_lid))
+
+
+def solve_retained(n, base_pairs, stored, k):
+    """Cheapest subset of the stored links that makes the base k-vertex-
+    connected, by exact search with the base edges forced in at weight 0.
+    Base re-entries (synthetic links) are free and left out of the reported
+    solution.  Raises ResourceLimitError past the solver's branching guard."""
+    base_edges = [(u, v, 0) for u, v in base_pairs]
+    g = Graph.build(n, base_edges + [rec.triple() for rec in stored])
+    req = RequirementMap.uniform(n, k)
+    try:
+        ids, weight = exact_solve(
+            g, req, ConnectivityMode.VERTEX, fixed=range(len(base_edges))
+        )
+    except InfeasibleError:
+        raise InfeasibleError(
+            f"the retained links cannot {k}-connect the base"
+        ) from None
+    chosen = (stored[i - len(base_edges)] for i in ids if i >= len(base_edges))
+    solution = tuple(rec for rec in chosen if not rec.synthetic)
+    return AugmentResult(stored, solution, weight)
+
+
+def contracted_mst_links(mst, good):
+    """Link payloads a Kruskal pass keeps over the stored supernode edges of
+    `mst` once every supernode in `good` is contracted into a single node."""
+    parent = {}
+
+    def find(z):
+        z = "good" if z in good else z
+        while parent.setdefault(z, z) != z:
+            parent[z] = parent[parent[z]]
+            z = parent[z]
+        return z
+
+    kept = []
+    for edge in sorted(mst.edges(), key=lambda e: (e.w, e.seq)):
+        ra, rb = find(edge.a), find(edge.b)
+        if ra != rb:
+            parent[ra] = rb
+            kept.append(edge.payload)
+    return kept
 
 
 class Cap1State:
@@ -180,11 +217,12 @@ class Cap1State:
 
     def stored_links(self):
         """The retained link set F, deduplicated, in arrival order."""
-        by_lid = {rec.lid: rec for rec in self._dict.values()}
-        for mst in self._msts.values():
-            for edge in mst.edges():
-                by_lid[edge.payload.lid] = edge.payload
-        return tuple(by_lid[lid] for lid in sorted(by_lid))
+        return unique_links(
+            chain(
+                self._dict.values(),
+                (e.payload for mst in self._msts.values() for e in mst.edges()),
+            )
+        )
 
     def space_bound(self):
         """Retention ceiling: one dictionary slot per vertex and bucket plus
@@ -192,42 +230,17 @@ class Cap1State:
         n = self.tree.n
         return n * self.scheme.bucket_count() + 2 * (n - 1)
 
-    def _solve(self, links):
-        tree = self.tree
-        base_edges = [(p, c, 0) for p, c in tree.edges()]
-        all_edges = base_edges + [rec.triple() for rec in links]
-        g = Graph.build(tree.n, all_edges)
-        fixed = range(len(base_edges))
-        req = RequirementMap.uniform(tree.n, 2)
-        ids, weight = exact_solve(
-            g, req, ConnectivityMode.VERTEX, fixed=fixed, max_branch_edges=len(links)
-        )
-        chosen = [links[i - len(base_edges)] for i in ids if i >= len(base_edges)]
-        return chosen, weight
-
     def finalize(self):
         """Solve exactly on the retained links; base re-entries are free and
         filtered from the reported solution."""
-        stored = self.stored_links()
-        try:
-            chosen, weight = self._solve(stored)
-        except InfeasibleError:
-            raise InfeasibleError(
-                "the retained links cannot 2-connect the tree"
-            ) from None
-        solution = tuple(rec for rec in chosen if not rec.synthetic)
-        return Cap1Result(stored, solution, weight)
+        return solve_retained(self.tree.n, self.tree.edges(), self.stored_links(), 2)
 
     def sol_from_opt(self, opt):
         """Mirror an optimal solution inside the retained set: dictionary
         picks per optimal link plus per-vertex MSTs with the subtrees already
         covered by the optimum contracted together.  Test oracle only."""
         tree = self.tree
-        picked = {}
-
-        def pick(rec):
-            picked[rec.lid] = rec
-
+        picked = []
         opt = [link if isinstance(link, tuple) else link.triple() for link in opt]
         for u, v, w in opt:
             j = self.scheme.bucket_of(w)
@@ -238,37 +251,20 @@ class Cap1State:
                         f"dictionary has no entry for vertex {x} bucket {j}; "
                         "the optimum must be part of the processed stream"
                     )
-                pick(rec)
+                picked.append(rec)
 
         for x in range(tree.n):
             mst = self._msts.get(x)
             if mst is None:
                 continue
-            good = set()
-            for c in tree.children[x]:
-                for u, v, _ in opt:
-                    for a, b in ((u, v), (v, u)):
-                        if tree.is_ancestor(c, a) and not tree.is_ancestor(x, b):
-                            good.add(c)
-                            break
-                    if c in good:
-                        break
-            # Kruskal over the stored supernode edges with all good children
-            # contracted into a single node
-            def node_of(c):
-                return "good" if c in good else c
-
-            parent = {}
-
-            def find(z):
-                while parent.setdefault(z, z) != z:
-                    parent[z] = parent[parent[z]]
-                    z = parent[z]
-                return z
-
-            for edge in sorted(mst.edges(), key=lambda e: (e.w, e.seq)):
-                ra, rb = find(node_of(edge.a)), find(node_of(edge.b))
-                if ra != rb:
-                    parent[ra] = rb
-                    pick(edge.payload)
-        return tuple(picked[lid] for lid in sorted(picked))
+            good = {
+                c
+                for c in tree.children[x]
+                if any(
+                    tree.in_subtree(a, c) and not tree.in_subtree(b, x)
+                    for u, v, _ in opt
+                    for a, b in ((u, v), (v, u))
+                )
+            }
+            picked.extend(contracted_mst_links(mst, good))
+        return unique_links(picked)

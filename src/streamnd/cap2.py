@@ -6,27 +6,21 @@ tree.  The stream keeps, per tree node and weight bucket, the link whose
 tree-LCA sits closest to the root; per P node, a streaming MST over its child
 subtrees; and per S node, the extreme links seen from every cycle position,
 with dummy positions standing for whole subtrees hanging off virtual edges.
-An exact solver then picks the cheapest feasible subset of what was kept.
+An exact solver then picks the cheapest feasible subset of what was kept;
+that solve, the retained-set union and the contracted Kruskal of
+`sol_from_opt` are the augmentation core shared with `cap1`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain
 
-from .errors import InfeasibleError
-from .framework import exact_solve
-from .graph import ConnectivityMode, Graph, RequirementMap, is_k_connected
+from .cap1 import LinkRec, contracted_mst_links, solve_retained, unique_links
+# unused here; perfbench/test_tracer.py checks that tracing wraps this binding
+from .framework import exact_solve  # noqa: F401
+from .graph import ConnectivityMode, is_k_connected
 from .spqr import VIRTUAL, build_spqr
 from .streams import StreamingMst
-
-from .cap1 import LinkRec
-
-
-@dataclass(frozen=True)
-class Cap2Result:
-    stored: tuple
-    solution: tuple  # chosen links, base re-entries filtered out
-    weight: int
 
 
 class _SNodeData:
@@ -161,16 +155,13 @@ class Cap2State:
     # -- accounting
 
     def stored_links(self):
-        by_lid = {}
-        for rec, _ in self._dict.values():
-            by_lid[rec.lid] = rec
-        for _, mst in self._pnodes.values():
-            for edge in mst.edges():
-                by_lid[edge.payload.lid] = edge.payload
-        for lo, hi in self._minmax.values():
-            by_lid[lo[0].lid] = lo[0]
-            by_lid[hi[0].lid] = hi[0]
-        return tuple(by_lid[lid] for lid in sorted(by_lid))
+        return unique_links(
+            chain(
+                (rec for rec, _ in self._dict.values()),
+                (e.payload for _, mst in self._pnodes.values() for e in mst.edges()),
+                (rec for lo_hi in self._minmax.values() for rec, _ in lo_hi),
+            )
+        )
 
     def space_bound(self):
         """Retention ceiling from the per-structure slot counts."""
@@ -178,31 +169,9 @@ class Cap2State:
 
     # -- postprocessing
 
-    def _solve(self, links):
-        base_edges = [(u, v, 0) for u, v, _ in self.base.edges]
-        all_edges = base_edges + [rec.triple() for rec in links]
-        g = Graph.build(self.base.n, all_edges)
-        req = RequirementMap.uniform(self.base.n, 3)
-        ids, weight = exact_solve(
-            g,
-            req,
-            ConnectivityMode.VERTEX,
-            fixed=range(len(base_edges)),
-            max_branch_edges=len(links),
-        )
-        chosen = [links[i - len(base_edges)] for i in ids if i >= len(base_edges)]
-        return chosen, weight
-
     def finalize(self):
-        stored = self.stored_links()
-        try:
-            chosen, weight = self._solve(stored)
-        except InfeasibleError:
-            raise InfeasibleError(
-                "the retained links cannot 3-connect the base"
-            ) from None
-        solution = tuple(rec for rec in chosen if not rec.synthetic)
-        return Cap2Result(stored, solution, weight)
+        base_pairs = [(u, v) for u, v, _ in self.base.edges]
+        return solve_retained(self.base.n, base_pairs, self.stored_links(), 3)
 
     def sol_from_opt(self, opt):
         """Mirror an optimal solution inside the retained set; test oracle.
@@ -215,10 +184,7 @@ class Cap2State:
         to the outside.
         """
         tree = self.tree
-        picked = {}
-
-        def pick(rec):
-            picked[rec.lid] = rec
+        picked = []
 
         def lookup_minmax(nid, pt, j, which):
             slot = self._minmax.get((nid, pt, j))
@@ -240,17 +206,17 @@ class Cap2State:
                         f"dictionary has no entry for node {x} bucket {j}; "
                         "the optimum must be part of the processed stream"
                     )
-                pick(got[0])
+                picked.append(got[0])
             meet = tree.lca(tree.l_map[u], tree.l_map[v])
             if tree.nodes[meet].kind == "S":
                 data = self._snodes[meet]
                 pu, pv = data.pos[data.fmap[u]], data.pos[data.fmap[v]]
                 if pu < pv:
-                    pick(lookup_minmax(meet, data.fmap[v], j, "min"))
-                    pick(lookup_minmax(meet, data.fmap[u], j, "max"))
+                    picked.append(lookup_minmax(meet, data.fmap[v], j, "min"))
+                    picked.append(lookup_minmax(meet, data.fmap[u], j, "max"))
                 elif pv < pu:
-                    pick(lookup_minmax(meet, data.fmap[u], j, "min"))
-                    pick(lookup_minmax(meet, data.fmap[v], j, "max"))
+                    picked.append(lookup_minmax(meet, data.fmap[u], j, "min"))
+                    picked.append(lookup_minmax(meet, data.fmap[v], j, "max"))
             for a, b in ((u, v), (v, u)):
                 for nid, data in self._snodes.items():
                     node = tree.nodes[nid]
@@ -261,37 +227,18 @@ class Cap2State:
                         continue
                     if tree.in_subtree(tree.l_map[b], nid):
                         continue
-                    pick(lookup_minmax(nid, ("v", a), j, "min"))
+                    picked.append(lookup_minmax(nid, ("v", a), j, "min"))
 
         for nid, (smap, mst) in self._pnodes.items():
-            good = set()
-            for child in tree.children[nid]:
-                for u, v, _ in opt:
-                    hit = False
-                    for a, b in ((u, v), (v, u)):
-                        if tree.in_subtree(tree.h_map[a], child) and not tree.in_subtree(
-                            tree.l_map[b], nid
-                        ):
-                            hit = True
-                            break
-                    if hit:
-                        good.add(child)
-                        break
-
-            def node_of(c):
-                return "good" if c in good else c
-
-            parent = {}
-
-            def find(z):
-                while parent.setdefault(z, z) != z:
-                    parent[z] = parent[parent[z]]
-                    z = parent[z]
-                return z
-
-            for edge in sorted(mst.edges(), key=lambda e: (e.w, e.seq)):
-                ra, rb = find(node_of(edge.a)), find(node_of(edge.b))
-                if ra != rb:
-                    parent[ra] = rb
-                    pick(edge.payload)
-        return tuple(picked[lid] for lid in sorted(picked))
+            good = {
+                child
+                for child in tree.children[nid]
+                if any(
+                    tree.in_subtree(tree.h_map[a], child)
+                    and not tree.in_subtree(tree.l_map[b], nid)
+                    for u, v, _ in opt
+                    for a, b in ((u, v), (v, u))
+                )
+            }
+            picked.extend(contracted_mst_links(mst, good))
+        return unique_links(picked)

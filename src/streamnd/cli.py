@@ -1,9 +1,9 @@
 """Command-line front end: stream algorithms, oracles, and JSON reports.
 
-Exit codes: 0 success, 1 usage or parse error, 2 infeasible instance,
-3 a size guard was exceeded.  Reports are single JSON objects (one per line
-for bench); stored-edge counts are exactly the edges a streaming algorithm
-retains, never process memory.
+Exit codes: 0 success, 1 usage, parse or input-validation error, 2 infeasible
+instance, 3 a size guard was exceeded.  Reports are single JSON objects (one
+per line for bench); stored-edge counts are exactly the edges a streaming
+algorithm retains, never process memory.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 from .cap1 import Cap1State
 from .cap2 import Cap2State
@@ -148,6 +149,14 @@ def _build_parser():
     return top
 
 
+# augmentation commands: state class, target vertex connectivity, and the
+# generator settings of their bench suite
+_CAPS = {
+    "cap1": (Cap1State, 2, dict(family=Family.TREE, n=8, link_count=4)),
+    "cap2": (Cap2State, 3, dict(family=Family.TWO_CONNECTED, n=7, link_count=3, chords=2)),
+}
+
+
 def _scan_max_weight(path):
     _, edges = parse_graph_file(path)
     return max((w for _, _, w in edges), default=0)
@@ -224,7 +233,8 @@ def _cmd_sndp(args):
     return 0
 
 
-def _cap_common(args, build_state, augment_k):
+def _cmd_cap(args):
+    state_cls, augment_k, _ = _CAPS[args.command]
     base = load_graph(args.base)
     max_weight = max(_scan_max_weight(args.links), 0)
     scheme = BucketScheme(args.eps, max_weight)
@@ -232,7 +242,7 @@ def _cap_common(args, build_state, augment_k):
     if links_stream.n != base.n:
         raise ParseError(args.links, 1, f"links declare n={links_stream.n}, base has n={base.n}")
     with _Timer() as timer:
-        state = build_state(base, scheme)
+        state = state_cls.from_base(base, scheme)
         links = []
         for u, v, w in links_stream:
             links.append((u, v, w))
@@ -244,27 +254,13 @@ def _cap_common(args, build_state, augment_k):
         "sol_weight": result.weight,
         "wall_time_ms": timer.ms,
     }
+    if state_cls is Cap2State:
+        report["spqr_nodes"] = len(state.tree.nodes)
     if args.oracle:
         req = RequirementMap.uniform(base.n, augment_k)
         _, opt_weight = brute_optimal(base, links, req, ConnectivityMode.VERTEX)
         report["opt_weight"] = opt_weight
         report["ratio"] = _ratio(result.weight, opt_weight)
-    return state, result, report
-
-
-def _cmd_cap1(args):
-    state, result, report = _cap_common(
-        args, lambda base, scheme: Cap1State.from_base(base, scheme), 2
-    )
-    _emit(report, args.json_pretty)
-    return 0
-
-
-def _cmd_cap2(args):
-    state, result, report = _cap_common(
-        args, lambda base, scheme: Cap2State.from_base(base, scheme), 3
-    )
-    report["spqr_nodes"] = len(state.tree.nodes)
     _emit(report, args.json_pretty)
     return 0
 
@@ -307,43 +303,26 @@ def _cmd_verify_spanner(args):
 # -- bench suites; every line is deterministic for a fixed seed
 
 
-def _bench_cap1(seed, eps):
-    gen = InstanceGenerator(seed=seed, family=Family.TREE, n=8, link_count=4)
-    inst = generate(gen)
+def _bench_cap(suite, seed, eps):
+    state_cls, augment_k, shape = _CAPS[suite]
+    inst = generate(InstanceGenerator(seed=seed, **shape))
     scheme = BucketScheme(eps, max((w for _, _, w in inst.links), default=0))
-    state = Cap1State.from_base(inst.base, scheme)
+    state = state_cls.from_base(inst.base, scheme)
     for u, v, w in inst.links:
         state.process_link(u, v, w)
     result = state.finalize()
-    req = RequirementMap.uniform(inst.base.n, 2)
+    req = RequirementMap.uniform(inst.base.n, augment_k)
     _, opt = brute_optimal(inst.base, inst.links, req, ConnectivityMode.VERTEX)
-    return {
+    report = {
         "seed": seed,
         "stored_links": len(result.stored),
         "sol_weight": result.weight,
         "opt_weight": opt,
         "ratio": _ratio(result.weight, opt),
     }
-
-
-def _bench_cap2(seed, eps):
-    gen = InstanceGenerator(seed=seed, family=Family.TWO_CONNECTED, n=7, link_count=3, chords=2)
-    inst = generate(gen)
-    scheme = BucketScheme(eps, max((w for _, _, w in inst.links), default=0))
-    state = Cap2State.from_base(inst.base, scheme)
-    for u, v, w in inst.links:
-        state.process_link(u, v, w)
-    result = state.finalize()
-    req = RequirementMap.uniform(inst.base.n, 3)
-    _, opt = brute_optimal(inst.base, inst.links, req, ConnectivityMode.VERTEX)
-    return {
-        "seed": seed,
-        "stored_links": len(result.stored),
-        "spqr_nodes": len(state.tree.nodes),
-        "sol_weight": result.weight,
-        "opt_weight": opt,
-        "ratio": _ratio(result.weight, opt),
-    }
+    if state_cls is Cap2State:
+        report["spqr_nodes"] = len(state.tree.nodes)
+    return report
 
 
 def _bench_sndp(seed, eps):
@@ -426,8 +405,8 @@ def _bench_menger(seed, eps):
 
 
 _SUITES = {
-    "cap1": _bench_cap1,
-    "cap2": _bench_cap2,
+    "cap1": partial(_bench_cap, "cap1"),
+    "cap2": partial(_bench_cap, "cap2"),
     "sndp": _bench_sndp,
     "spanner": _bench_spanner,
     "mst": _bench_mst,
@@ -456,8 +435,8 @@ def _cmd_bench(args):
 _COMMANDS = {
     "spanner": _cmd_spanner,
     "sndp": _cmd_sndp,
-    "cap1": _cmd_cap1,
-    "cap2": _cmd_cap2,
+    "cap1": _cmd_cap,
+    "cap2": _cmd_cap,
     "oracle": _cmd_oracle,
     "verify-spanner": _cmd_verify_spanner,
     "bench": _cmd_bench,
@@ -472,7 +451,7 @@ def main(argv=None):
         return 1 if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InfeasibleError as exc:

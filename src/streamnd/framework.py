@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .errors import InfeasibleError, ResourceLimitError
 from .graph import ConnectivityMode, Graph, check_feasible
-from .spanner import FaultMode, FtConfig, FtSpannerState, TestKind
+from .spanner import FaultMode, FtConfig, TestKind, build_spanner
 
 
 class Analysis(Enum):
@@ -145,14 +145,7 @@ def run_framework(stream, req, cfg, reliable=None, max_weight=None, seed=0):
         test_kind=TestKind.EXACT,
         seed=seed,
     )
-    n = stream.n
-    items = stream
-    if max_weight is None:
-        items = list(stream)
-        max_weight = max((w for _, _, w in items), default=0)
-    state = FtSpannerState(n, ft, max_weight)
-    for u, v, w in items:
-        state.process_edge(u, v, w)
+    state = build_spanner(stream, ft, max_weight)
     spanner = state.spanner_graph(reliable=reliable)
     ids, weight = exact_solve(spanner, req, cfg.mode)
     solution = tuple(spanner.edges[i] for i in ids)

@@ -155,6 +155,32 @@ def biset_value(g, biset):
 
 
 # ---------------------------------------------------------------------------
+# rooted trees given by parent pointers; `tree` needs `parent` and `depth`
+# sequences with the root as its own parent
+
+
+def tree_lca(tree, u, v):
+    """Deepest node whose subtree contains both u and v (naive walk)."""
+    parent, depth = tree.parent, tree.depth
+    while depth[u] > depth[v]:
+        u = parent[u]
+    while depth[v] > depth[u]:
+        v = parent[v]
+    while u != v:
+        u = parent[u]
+        v = parent[v]
+    return u
+
+
+def tree_in_subtree(tree, z, x):
+    """True iff node z lies in the subtree rooted at node x (x counts)."""
+    parent, depth = tree.parent, tree.depth
+    while depth[z] > depth[x]:
+        z = parent[z]
+    return z == x
+
+
+# ---------------------------------------------------------------------------
 # unit-capacity max-flow
 
 

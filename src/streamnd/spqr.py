@@ -12,7 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import count
 
-from .graph import ConnectivityMode, Graph, is_k_connected, pair_connectivity
+from .graph import (
+    ConnectivityMode,
+    is_k_connected,
+    pair_connectivity,
+    tree_in_subtree,
+    tree_lca,
+)
 
 REAL = "real"
 VIRTUAL = "virtual"
@@ -108,21 +114,8 @@ class SpqrTree:
                 return x, y
         raise KeyError(f"no virtual edge {vid}")
 
-    def lca(self, x, y):
-        while self.depth[x] > self.depth[y]:
-            x = self.parent[x]
-        while self.depth[y] > self.depth[x]:
-            y = self.parent[y]
-        while x != y:
-            x = self.parent[x]
-            y = self.parent[y]
-        return x
-
-    def in_subtree(self, z, x):
-        """True iff tree node z lies in the subtree rooted at node x."""
-        while self.depth[z] > self.depth[x]:
-            z = self.parent[z]
-        return z == x
+    lca = tree_lca
+    in_subtree = tree_in_subtree
 
     def subtree_vertices(self, x):
         """All graph vertices with a copy in the subtree rooted at x."""
@@ -146,7 +139,7 @@ class SpqrTree:
 
 
 # ---------------------------------------------------------------------------
-# separation pairs and splits
+# separation pairs
 
 
 def _components(vertices, endpoint_pairs, banned):
@@ -239,22 +232,6 @@ def _choose_side(classes):
     return list(eligible[0])
 
 
-def split(g, pair, side_ids):
-    """Split g at the separation pair into (g1, g2); each part keeps its side
-    of the edge bipartition plus a fresh shared virtual edge, appended last
-    with weight 0.  Both sides must contain at least two edges."""
-    a, b = pair
-    if len(g.edges) < 4:
-        raise ValueError("split needs a graph with at least four edges")
-    side = sorted(set(side_ids))
-    other = [i for i in range(len(g.edges)) if i not in set(side)]
-    if len(side) < 2 or len(other) < 2:
-        raise ValueError("both sides of a split must keep at least two edges")
-    g1 = Graph(g.n, tuple(g.edges[i] for i in side) + ((a, b, 0),), g.reliable)
-    g2 = Graph(g.n, tuple(g.edges[i] for i in other) + ((a, b, 0),), g.reliable)
-    return g1, g2
-
-
 # ---------------------------------------------------------------------------
 # construction
 
@@ -271,7 +248,7 @@ def _classify(vertices, edges):
     return "R"
 
 
-def _is_dipole(vertices, edges):
+def _is_dipole(vertices):
     return len(vertices) == 2
 
 
@@ -334,7 +311,7 @@ def build_spqr(g):
 
     def mergeable(x, y):
         vx, vy = vertices_of(x), vertices_of(y)
-        if _is_dipole(vx, skeletons[x]) and _is_dipole(vy, skeletons[y]):
+        if _is_dipole(vx) and _is_dipole(vy):
             return True
         return _is_cycle(vx, skeletons[x]) and _is_cycle(vy, skeletons[y])
 

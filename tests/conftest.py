@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 from hypothesis import HealthCheck, settings
@@ -12,6 +13,11 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+def short_digest(value):
+    """First 16 hex digits of the sha256 of repr(value), for pinning outputs."""
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
 def seeded_graph(seed, n, p=0.45, wmax=1, allow_empty=False):

@@ -16,7 +16,9 @@ from streamnd import (
     generate,
     is_k_connected,
 )
-from streamnd.errors import InfeasibleError
+from streamnd.errors import InfeasibleError, ResourceLimitError
+
+from conftest import short_digest
 
 V = ConnectivityMode.VERTEX
 HALF = Fraction(1, 2)
@@ -117,6 +119,17 @@ def test_infeasible_link_set_reports():
         state.finalize()
 
 
+def test_finalize_enforces_solver_guard():
+    inst = generate(InstanceGenerator(seed=1, family=Family.TREE, n=18, link_count=4))
+    scheme = BucketScheme(HALF, max(w for _, _, w in inst.links))
+    state = Cap1State.from_base(inst.base, scheme)
+    for link in inst.links:
+        state.process_link(*link)
+    assert len(state.stored_links()) == 41  # one past exact_solve's default guard
+    with pytest.raises(ResourceLimitError):
+        state.finalize()
+
+
 def test_non_tree_base_re_enters_extras_as_zero_weight_links():
     g = Graph.build(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     state = Cap1State.from_base(g, BucketScheme(HALF, 4))
@@ -139,6 +152,7 @@ def test_sol_from_opt_trivial_and_chain():
 
 def test_corpus_bounds_and_mirror():
     eps = HALF
+    outputs = []
     for seed in range(25):
         gen = InstanceGenerator(
             seed=seed, family=Family.TREE, n=8, link_count=4, max_links=12
@@ -165,3 +179,13 @@ def test_corpus_bounds_and_mirror():
         assert is_k_connected(aug, 2, V)
         # chained ratio: exact solve on the store never loses to the mirror
         assert res.weight <= sum(r.w for r in sol) <= (3 + 2 * eps) * opt
+        outputs.append(
+            (
+                [r.lid for r in res.stored],
+                [r.lid for r in res.solution],
+                res.weight,
+                [r.lid for r in sol],
+            )
+        )
+    # pins which links are kept, chosen and mirrored, not only their bounds
+    assert short_digest(outputs) == "6567798c2c824103"

@@ -18,6 +18,8 @@ from streamnd import (
 )
 from streamnd.errors import InfeasibleError
 
+from conftest import short_digest
+
 V = ConnectivityMode.VERTEX
 HALF = Fraction(1, 2)
 
@@ -146,6 +148,7 @@ def test_sol_from_opt_c4_diagonals():
 
 def test_corpus_bounds_and_mirror():
     eps = HALF
+    outputs = []
     for seed in range(25):
         gen = InstanceGenerator(
             seed=seed, family=Family.TWO_CONNECTED, n=8, chords=2, link_count=3,
@@ -178,3 +181,13 @@ def test_corpus_bounds_and_mirror():
         assert is_k_connected(aug, 3, V)
         # chained ratio: exact solve on the store never loses to the mirror
         assert res.weight <= sum(r.w for r in sol) <= (7 + 6 * eps) * opt
+        outputs.append(
+            (
+                [r.lid for r in res.stored],
+                [r.lid for r in res.solution],
+                res.weight,
+                [r.lid for r in sol],
+            )
+        )
+    # pins which links are kept, chosen and mirrored, not only their bounds
+    assert short_digest(outputs) == "17e130bf7ed311bf"

@@ -4,6 +4,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from streamnd import Family, Graph, InstanceGenerator, generate, save_graph
 from streamnd.cli import main
 
 
@@ -84,6 +85,60 @@ def test_cap1_infeasible(tmp_path):
     links = write(tmp_path / "l.txt", "3 0\n")
     code, _, _ = run_cli(["cap1", "--base", base, "--links", links, "--eps", "1/2"])
     assert code == 2
+
+
+def test_cap1_solver_guard_exits_three(tmp_path):
+    # the instance whose 41 retained links trip the guard in test_cap1.py
+    inst = generate(InstanceGenerator(seed=1, family=Family.TREE, n=18, link_count=4))
+    base, links = str(tmp_path / "t.txt"), str(tmp_path / "l.txt")
+    save_graph(inst.base, base)
+    save_graph(Graph.build(inst.base.n, inst.links), links)
+    code, _, err = run_cli(["cap1", "--base", base, "--links", links, "--eps", "1/2"])
+    assert code == 3
+    assert "resource guard:" in err
+
+
+PATH4 = "4 3\n0 1 1\n1 2 1\n2 3 1\n"
+
+
+@pytest.mark.parametrize(
+    "files, argv",
+    [
+        (
+            {"base": "4 2\n0 1 1\n2 3 1\n", "links": "4 1\n0 2 1\n"},
+            ["cap1", "--base", "{base}", "--links", "{links}", "--eps", "1/2"],
+        ),
+        (
+            {"base": PATH4, "links": "4 1\n0 3 1\n"},
+            ["cap2", "--base", "{base}", "--links", "{links}", "--eps", "1/2"],
+        ),
+        (
+            {"base": PATH4, "links": "4 1\n0 3 1\n"},
+            ["cap1", "--base", "{base}", "--links", "{links}", "--eps", "0"],
+        ),
+        (
+            {"graph": PATH4, "req": "0 3 1\n"},
+            ["sndp", "--mode", "vc", "--t", "0", "--graph", "{graph}", "--req", "{req}"],
+        ),
+        (
+            {"graph": PATH4, "req": "0 9 1\n"},
+            ["sndp", "--mode", "vc", "--t", "1", "--graph", "{graph}", "--req", "{req}"],
+        ),
+    ],
+    ids=[
+        "cap1-disconnected-base",
+        "cap2-base-not-2-connected",
+        "cap1-eps-0",
+        "sndp-t-0",
+        "sndp-req-vertex-outside-graph",
+    ],
+)
+def test_invalid_input_exits_one_without_traceback(tmp_path, files, argv):
+    paths = {name: write(tmp_path / f"{name}.txt", text) for name, text in files.items()}
+    code, _, err = run_cli([arg.format(**paths) for arg in argv])
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_cap2_run(tmp_path, c4_file):

@@ -11,7 +11,6 @@ from streamnd import (
     enumerate_two_cuts,
     find_separation_pair,
     remerged_edges,
-    split,
     to_debug_lines,
 )
 from streamnd.spqr import REAL, VIRTUAL
@@ -77,42 +76,6 @@ def test_separation_pair_classes_partition_random():
         assert not connected_after_removal(g, {a, b}) or any(
             {g.edges[i][0], g.edges[i][1]} == {a, b} for i in classes[-1]
         )
-
-
-def test_split_cycle_into_triangles():
-    c4 = cycle(4)
-    a, b, classes = find_separation_pair(c4)
-    g1, g2, = split(c4, (a, b), classes[0])
-    assert len(g1.edges) + len(g2.edges) == len(c4.edges) + 2
-    tri1 = {x for u, v, _ in g1.edges for x in (u, v)}
-    tri2 = {x for u, v, _ in g2.edges for x in (u, v)}
-    assert len(tri1) == len(tri2) == 3
-
-
-def test_split_rules_enforced():
-    c4 = cycle(4)
-    with pytest.raises(ValueError):
-        split(c4, (0, 2), [0])  # single-edge side
-    tri = cycle(3)
-    with pytest.raises(ValueError):
-        split(tri, (0, 1), [0, 1])  # too few edges overall
-
-
-def test_split_parts_stay_two_connected():
-    from streamnd.graph import pair_connectivity
-
-    for seed in range(8):
-        g = random_two_connected(seed + 50, 7)
-        hit = find_separation_pair(g)
-        if hit is None:
-            continue
-        a, b, classes = hit
-        side = classes[0] if len(classes[0]) >= 2 else classes[1]
-        g1, g2 = split(g, (a, b), side)
-        for part in (g1, g2):
-            touched = sorted({x for u, v, _ in part.edges for x in (u, v)})
-            for x, y in itertools.combinations(touched, 2):
-                assert pair_connectivity(part, x, y, V) >= 2
 
 
 def test_cycle_collapses_to_single_s_node():
