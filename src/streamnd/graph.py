@@ -5,6 +5,15 @@ paths: edge-disjoint, internally-vertex-disjoint, or element-disjoint (paths
 may share reliable vertices but not edges or non-reliable vertices).  All
 three are computed as unit-capacity max-flow after the appropriate vertex
 splitting, so they agree with the cut-side statements of Menger's theorem.
+
+Whole-graph vertex questions with k <= 3 ("is every pair k-connected", as
+asked by `is_k_connected` and by `check_feasible` with a uniform requirement
+map) skip the flows when n >= k + 1: an iterative lowpoint DFS (Hopcroft and
+Tarjan) finds cut vertices, once on G for k <= 2 and once on G - a for every
+vertex a when k = 3.  For n >= k + 1, "every pair has k internally disjoint
+paths, parallel edges counted" is the same as "no k - 1 vertices disconnect
+G": Menger's theorem for non-adjacent pairs, kappa(G - e) >= kappa(G) - 1 for
+adjacent ones.  Below n = k + 1 the two differ, so those graphs take flows.
 """
 
 from __future__ import annotations
@@ -181,6 +190,84 @@ def tree_in_subtree(tree, z, x):
 
 
 # ---------------------------------------------------------------------------
+# cut vertices by lowpoint DFS
+
+
+def _cut_gains(adj, removed=()):
+    """Components of the graph minus `removed`, and per vertex how many
+    components its own removal would add to them.
+
+    `adj` has the shape of `Graph.adjacency()`.  One iterative DFS computes
+    lowpoints; a non-root x gains one component per DFS child c with
+    low[c] >= disc[x], and a DFS root gains its child count minus one (so an
+    isolated vertex gains -1).  Removed vertices keep gain 0.
+    """
+    n = len(adj)
+    disc = [0] * n  # 0 = unvisited, -1 = removed, else discovery time
+    low = [0] * n
+    gain = [0] * n
+    for x in removed:
+        disc[x] = -1
+    comps = 0
+    clock = 0
+    for root in range(n):
+        if disc[root]:
+            continue
+        comps += 1
+        clock += 1
+        disc[root] = low[root] = clock
+        gain[root] = -1
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            x, it = stack[-1]
+            for y, _ in it:
+                d = disc[y]
+                if d == 0:
+                    clock += 1
+                    disc[y] = low[y] = clock
+                    stack.append((y, iter(adj[y])))
+                    break
+                if 0 < d < low[x]:
+                    low[x] = d
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    if low[x] < low[p]:
+                        low[p] = low[x]
+                    if low[x] >= disc[p]:
+                        gain[p] += 1
+    return comps, gain
+
+
+def _biconnected(adj, removed=()):
+    """True iff the vertices outside `removed` are connected and none of them
+    is a cut vertex of the graph they induce."""
+    comps, gain = _cut_gains(adj, removed)
+    return comps == 1 and max(gain) <= 0
+
+
+def _dfs_k_connected(adj, k):
+    """Vertex k-connectivity for 1 <= k <= 3 on at least k + 1 vertices: no
+    k - 1 vertices disconnect the graph."""
+    if k == 1:
+        return _cut_gains(adj)[0] == 1
+    if k == 2:
+        return _biconnected(adj)
+    return all(_biconnected(adj, (a,)) for a in range(len(adj)))
+
+
+def _uniform_level(n, needed):
+    """The requirement r when `needed` asks r <= 3 of every vertex pair and
+    n >= r + 1, the range where `_dfs_k_connected` answers it; else None."""
+    r = needed[0][2]
+    if r > 3 or n < r + 1 or any(t[2] != r for t in needed):
+        return None
+    pairs = {(min(u, v), max(u, v)) for u, v, _ in needed}
+    return r if len(pairs) == n * (n - 1) // 2 else None
+
+
+# ---------------------------------------------------------------------------
 # unit-capacity max-flow
 
 
@@ -304,9 +391,13 @@ def check_feasible(g, req, mode):
     for u, v, r in needed:
         if min(deg[u], deg[v]) < r:
             return False
-    needed.sort(key=lambda t: min(deg[t[0]], deg[t[1]]))
     if not needed:
         return True
+    if mode is ConnectivityMode.VERTEX:
+        level = _uniform_level(g.n, needed)
+        if level is not None:
+            return _dfs_k_connected(g.adjacency(), level)
+    needed.sort(key=lambda t: min(deg[t[0]], deg[t[1]]))
     net, out_id = _build_net(g, mode)
     first = True
     for u, v, r in needed:
@@ -321,14 +412,18 @@ def check_feasible(g, req, mode):
 def is_k_connected(g, k, mode):
     """True iff every vertex pair is at least k-connected under the mode.
 
-    Vertex mode additionally requires n >= k + 1.
+    Vertex mode additionally requires n >= k + 1; there, k <= 3 is decided
+    by lowpoint DFS instead of pair flows.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return True
-    if mode is ConnectivityMode.VERTEX and g.n < k + 1:
-        return False
+    if mode is ConnectivityMode.VERTEX:
+        if g.n < k + 1:
+            return False
+        if k <= 3:
+            return _dfs_k_connected(g.adjacency(), k)
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if _pair_flow(g, u, v, mode, limit=k) < k:

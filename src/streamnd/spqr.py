@@ -3,19 +3,22 @@
 
 Construction splits recursively on separation pairs until no skeleton has
 one, then merges adjacent dipole pairs and adjacent cycle pairs to a fixed
-point.  Correctness is the contract here; the construction is quadratic-ish,
-not linear-time.
+point.  Correctness is the contract here, not linear time: each split
+search runs one cut-vertex DFS of G - a per skeleton vertex a, O(n (n + m)),
+and a skeleton can be split up to O(n) times.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import count
 
 from .graph import (
     ConnectivityMode,
+    _biconnected,
+    _cut_gains,
     is_k_connected,
-    pair_connectivity,
     tree_in_subtree,
     tree_lca,
 )
@@ -169,42 +172,51 @@ def _components(vertices, endpoint_pairs, banned):
 
 def _find_pair(vertices, endpoint_pairs):
     """First separation pair in lexicographic order, with its separation
-    classes as index lists into endpoint_pairs, or None."""
+    classes as index lists into endpoint_pairs, or None.
+
+    (a, b) qualifies when removing both leaves two or more components, or
+    when a and b share two or more parallel edges on three or more vertices.
+    One cut-vertex pass over G - a counts the components of G - {a, b} for
+    every b at once.
+    """
     verts = sorted(vertices)
+    index = {x: i for i, x in enumerate(verts)}
+    adj = [[] for _ in verts]
+    mult = Counter()
+    for eid, (u, v) in enumerate(endpoint_pairs):
+        adj[index[u]].append((index[v], eid))
+        adj[index[v]].append((index[u], eid))
+        mult[(min(u, v), max(u, v))] += 1
     for ia, a in enumerate(verts):
-        for b in verts[ia + 1 :]:
-            comps = _components(verts, endpoint_pairs, {a, b})
-            if len(comps) >= 2:
-                classes = []
-                for comp in comps:
-                    cls = [
-                        i
-                        for i, (u, v) in enumerate(endpoint_pairs)
-                        if u in comp or v in comp
-                    ]
-                    classes.append(cls)
-                ab = [
-                    i
-                    for i, (u, v) in enumerate(endpoint_pairs)
-                    if {u, v} == {a, b}
+        comps, gain = _cut_gains(adj, (ia,))
+        for ib in range(ia + 1, len(verts)):
+            b = verts[ib]
+            if comps + gain[ib] >= 2:
+                classes = [
+                    [i for i, (u, v) in enumerate(endpoint_pairs) if u in comp or v in comp]
+                    for comp in _components(verts, endpoint_pairs, {a, b})
                 ]
+                ab = [i for i, (u, v) in enumerate(endpoint_pairs) if {u, v} == {a, b}]
                 if ab:
                     classes.append(ab)
                 return a, b, classes
-            parallel = [
-                i for i, (u, v) in enumerate(endpoint_pairs) if {u, v} == {a, b}
-            ]
-            if len(parallel) >= 2 and len(verts) > 2:
+            if mult[(a, b)] >= 2 and len(verts) > 2:
+                parallel = [
+                    i for i, (u, v) in enumerate(endpoint_pairs) if {u, v} == {a, b}
+                ]
                 rest = [i for i in range(len(endpoint_pairs)) if i not in parallel]
                 return a, b, [parallel, rest]
     return None
 
 
 def _check_two_connected(g, touched):
-    for i, u in enumerate(touched):
-        for v in touched[i + 1 :]:
-            if pair_connectivity(g, u, v, ConnectivityMode.VERTEX) < 2:
-                raise ValueError("graph is not 2-vertex-connected")
+    # on two vertices the pair's disjoint paths are its parallel edges
+    if len(touched) == 2:
+        ok = len(g.edges) >= 2
+    else:
+        ok = _biconnected(g.adjacency(), set(range(g.n)).difference(touched))
+    if not ok:
+        raise ValueError("graph is not 2-vertex-connected")
 
 
 def find_separation_pair(g):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -16,7 +17,9 @@ from streamnd import (
     load_requirements,
     pair_connectivity,
 )
+from streamnd import graph
 from streamnd.errors import ParseError
+from streamnd.graph import _pair_flow
 from streamnd.oracle import max_disjoint_paths
 
 from conftest import connected_after_removal, seeded_graph
@@ -96,6 +99,87 @@ def test_is_k_connected_matches_fault_enumeration():
                 for faults in itertools.combinations(range(g.n), k - 1)
             )
             assert is_k_connected(g, k, V) == brute, (seed, k)
+
+
+def _flow_k_connected(g, k):
+    """Reference: every vertex pair has k disjoint paths by unit max-flow."""
+    return all(
+        _pair_flow(g, u, v, V, limit=k) >= k
+        for u, v in itertools.combinations(range(g.n), 2)
+    )
+
+
+def _multigraph(seed):
+    """Seeded multigraph on 1..8 vertices: random edges with doubled copies,
+    a theta, or two disjoint pieces, with isolated vertices sometimes left."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+    shape = seed % 3
+    edges = []
+    if shape == 0 or n < 4:
+        for _ in range(rng.randint(0, 3 * n)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            edges += [(u, v)] * rng.choice((1, 1, 2, 3))
+    elif shape == 1:
+        # theta: poles 0 and 1 joined by paths through the other vertices
+        inner = list(range(2, n - rng.randint(0, 1)))
+        rng.shuffle(inner)
+        while inner:
+            step = rng.randint(1, 3)
+            path = [0] + inner[:step] + [1]
+            inner = inner[step:]
+            edges += list(zip(path, path[1:]))
+        edges += [(0, 1)] * rng.randint(0, 2)
+    else:
+        # two disjoint dense pieces
+        cut = rng.randint(1, n - 1)
+        for lo, hi in ((0, cut), (cut, n)):
+            edges += [(u, v) for u in range(lo, hi) for v in range(u + 1, hi)]
+    return Graph.build(n, edges)
+
+
+def test_dfs_connectivity_matches_pairwise_flows():
+    seen = set()
+    for seed in range(2000):
+        g = _multigraph(seed)
+        for k in (1, 2, 3):
+            want = _flow_k_connected(g, k)
+            assert check_feasible(g, RequirementMap.uniform(g.n, k), V) == want, (seed, k)
+            assert is_k_connected(g, k, V) == (want and g.n >= k + 1), (seed, k)
+            seen.add((k, want))
+    assert seen == {(k, ok) for k in (1, 2, 3) for ok in (True, False)}
+
+
+def test_dfs_connectivity_fixed_cases(monkeypatch):
+    dipole = Graph.build(2, [(0, 1)] * 3)
+    # below n = k + 1 the flow count differs from vertex k-connectivity
+    assert check_feasible(dipole, RequirementMap.uniform(2, 3), V)
+    assert not is_k_connected(dipole, 3, V)
+    k4_minus = Graph.build(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    assert is_k_connected(k4_minus, 2, V)
+    assert not is_k_connected(k4_minus, 3, V)
+    assert not check_feasible(k4_minus, RequirementMap.uniform(4, 3), V)
+
+    calls = []
+    real = graph._dfs_k_connected
+    monkeypatch.setattr(
+        graph, "_dfs_k_connected", lambda adj, k: calls.append(k) or real(adj, k)
+    )
+    k4 = Graph.build(4, list(k4_minus.edges) + [(2, 3)])
+    assert check_feasible(k4, RequirementMap.uniform(4, 3), V)
+    assert calls == [3]
+    # one pair off the uniform value: flows decide, and agree
+    for g in (k4, k4_minus):
+        for r in (2, 4):
+            pairs = [(u, v, 3) for u, v in itertools.combinations(range(4), 2)]
+            pairs[-1] = (2, 3, r)
+            req = RequirementMap.from_pairs(pairs)
+            want = all(_pair_flow(g, u, v, V) >= r for u, v, r in req.pairs())
+            assert check_feasible(g, req, V) == want
+    # one value on only some pairs is not uniform either
+    partial = RequirementMap.from_pairs([(0, 1, 2), (0, 2, 2), (1, 2, 2)])
+    assert check_feasible(Graph.build(4, [(0, 1), (1, 2), (2, 0)]), partial, V)
+    assert calls == [3]
 
 
 def test_monotone_under_edge_addition():

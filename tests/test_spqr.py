@@ -13,6 +13,7 @@ from streamnd import (
     remerged_edges,
     to_debug_lines,
 )
+from streamnd import spqr
 from streamnd.spqr import REAL, VIRTUAL
 
 from conftest import connected_after_removal, random_two_connected
@@ -76,6 +77,59 @@ def test_separation_pair_classes_partition_random():
         assert not connected_after_removal(g, {a, b}) or any(
             {g.edges[i][0], g.edges[i][1]} == {a, b} for i in classes[-1]
         )
+
+
+def _find_pair_by_scan(vertices, endpoint_pairs):
+    """Reference for spqr._find_pair: the components of G - {a, b}
+    recomputed for every pair in lexicographic order."""
+    verts = sorted(vertices)
+    for ia, a in enumerate(verts):
+        for b in verts[ia + 1 :]:
+            comps = spqr._components(verts, endpoint_pairs, {a, b})
+            ab = [i for i, (u, v) in enumerate(endpoint_pairs) if {u, v} == {a, b}]
+            if len(comps) >= 2:
+                classes = [
+                    [i for i, (u, v) in enumerate(endpoint_pairs) if u in c or v in c]
+                    for c in comps
+                ]
+                return a, b, classes + ([ab] if ab else [])
+            if len(ab) >= 2 and len(verts) > 2:
+                return a, b, [ab, [i for i in range(len(endpoint_pairs)) if i not in ab]]
+    return None
+
+
+def test_find_pair_matches_pairwise_scan(monkeypatch):
+    # every skeleton the SPQR construction searches, plus raw multigraphs
+    # that need not be connected
+    corpus = []
+    real_find_pair = spqr._find_pair
+
+    def recording(vertices, endpoint_pairs):
+        corpus.append((list(vertices), list(endpoint_pairs)))
+        return real_find_pair(vertices, endpoint_pairs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spqr, "_find_pair", recording)
+        for seed in range(40):
+            build_spqr(random_two_connected(seed + 500, 3 + seed % 9))
+        build_spqr(FIG)
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        pairs = []
+        for _ in range(rng.randint(1, 2 * n)):
+            u, v = rng.sample(range(n), 2)
+            pairs += [(u, v)] * rng.choice((1, 1, 2))
+        corpus.append((sorted({x for p in pairs for x in p}), pairs))
+    assert len(corpus) > 400
+    for verts, pairs in corpus:
+        assert spqr._find_pair(verts, pairs) == _find_pair_by_scan(verts, pairs), pairs
+
+
+def test_separation_pair_needs_two_parallel_edges_on_two_vertices():
+    with pytest.raises(ValueError):
+        find_separation_pair(Graph.build(2, [(0, 1)]))
+    assert find_separation_pair(Graph.build(3, [(0, 1), (1, 0)])) is None
 
 
 def test_cycle_collapses_to_single_s_node():
