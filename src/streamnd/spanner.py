@@ -4,7 +4,9 @@ Each weight bucket holds an independent unweighted spanner: an arriving edge
 is kept iff removing some small set of vertices (or edges) from the bucket
 spanner would push its endpoints further apart than the hop threshold 2t-1.
 Three addition tests are provided: an exhaustive one, a sampled polynomial
-one for vertex faults, and a path-peeling one for edge faults.
+one for vertex faults, and a path-peeling one for edge faults.  The
+exhaustive one peels disjoint short paths first, then finds fault candidates
+by BFSes bounded by the threshold, and only then enumerates fault sets.
 """
 
 from __future__ import annotations
@@ -75,12 +77,19 @@ class FtConfig:
 
 
 class HopGraph:
-    """Unweighted multigraph used for hop-distance queries inside buckets."""
+    """Unweighted multigraph used for hop-distance queries inside buckets.
+
+    Queries mark visited vertices with a fresh stamp in `_mark` and keep BFS
+    parents in `_pv` / `_pe`, arrays reused across queries."""
 
     def __init__(self, n):
         self.n = n
         self.edges = []
         self.adj = [[] for _ in range(n)]
+        self._stamp = 0
+        self._mark = [0] * n
+        self._pv = [0] * n
+        self._pe = [0] * n
 
     @staticmethod
     def of(g):
@@ -100,52 +109,38 @@ class HopGraph:
 
     def within_hops(self, u, v, limit, banned_vertices=(), banned_edges=()):
         """True iff a u-v path of at most `limit` edges avoids the bans."""
-        bv = set(banned_vertices)
-        be = set(banned_edges)
-        if u in bv or v in bv:
-            return False
-        if u == v:
-            return True
-        frontier = {u}
-        seen = {u}
-        for _ in range(limit):
-            nxt = set()
-            for x in frontier:
-                for y, eid in self.adj[x]:
-                    if eid in be or y in bv or y in seen:
-                        continue
-                    if y == v:
-                        return True
-                    nxt.add(y)
-            seen |= nxt
-            frontier = nxt
-            if not frontier:
-                return False
-        return False
+        return self.short_path(u, v, limit, banned_vertices, banned_edges) is not None
 
     def short_path(self, u, v, limit, banned_vertices=(), banned_edges=()):
-        """A shortest u-v path within the hop limit, as (vertices, edge ids)."""
-        bv = set(banned_vertices)
-        be = set(banned_edges)
-        if u in bv or v in bv:
+        """A shortest u-v path within the hop limit, as (vertices, edge ids);
+        ([u], []) when u == v, None when there is none or u or v is banned.
+        Banned vertices are stamped as visited before the BFS starts."""
+        self._stamp = s = self._stamp + 1
+        mark, pv, pe, adj = self._mark, self._pv, self._pe, self.adj
+        for x in banned_vertices:
+            mark[x] = s
+        if mark[u] == s or mark[v] == s:
             return None
-        parent = {u: None}
+        if u == v:
+            return [u], []
+        mark[u] = s
+        be = banned_edges
         frontier = [u]
         for _ in range(limit):
             nxt = []
             for x in frontier:
-                for y, eid in self.adj[x]:
-                    if eid in be or y in bv or y in parent:
+                for y, eid in adj[x]:
+                    if mark[y] == s or (be and eid in be):
                         continue
-                    parent[y] = (x, eid)
+                    mark[y] = s
+                    pv[y] = x
+                    pe[y] = eid
                     if y == v:
                         verts, eids = [v], []
-                        z = v
-                        while parent[z] is not None:
-                            pz, peid = parent[z]
-                            eids.append(peid)
-                            verts.append(pz)
-                            z = pz
+                        while y != u:
+                            eids.append(pe[y])
+                            y = pv[y]
+                            verts.append(y)
                         return verts[::-1], eids[::-1]
                     nxt.append(y)
             frontier = nxt
@@ -154,18 +149,21 @@ class HopGraph:
         return None
 
 
-def _bfs_hops(h, src):
+def _bfs_hops(h, src, limit):
+    """Hop distances from src up to `limit`; None for vertices further away."""
     dist = [None] * h.n
     dist[src] = 0
-    queue = [src]
-    while queue:
+    frontier = [src]
+    for d in range(1, limit + 1):
         nxt = []
-        for x in queue:
+        for x in frontier:
             for y, _ in h.adj[x]:
                 if dist[y] is None:
-                    dist[y] = dist[x] + 1
+                    dist[y] = d
                     nxt.append(y)
-        queue = nxt
+        if not nxt:
+            break
+        frontier = nxt
     return dist
 
 
@@ -174,10 +172,14 @@ def _useful_candidates(h, u, v, threshold, mode):
 
     Faulting anything else can never raise the u-v distance past the
     threshold, so restricting the exhaustive search to these candidates is
-    lossless.
+    lossless.  The BFSes stop one hop short of the threshold for vertices (a
+    candidate is a hop or more from both ends) and at it for edges: an edge
+    (a, b) with du[a] + 1 + dv[b] <= threshold has all four end distances
+    within the threshold, so the edge filter below loses nothing to the bound.
     """
-    du = _bfs_hops(h, u)
-    dv = _bfs_hops(h, v)
+    limit = threshold - 1 if mode is FaultMode.VERTEX else threshold
+    du = _bfs_hops(h, u, limit)
+    dv = _bfs_hops(h, v, limit)
     if mode is FaultMode.VERTEX:
         return [
             x
@@ -197,47 +199,47 @@ def _useful_candidates(h, u, v, threshold, mode):
 
 
 def _greedy_disjoint_short_paths(h, u, v, threshold, mode, want):
-    """Peel up to `want` mutually disjoint short u-v paths; returns the count."""
+    """Peel up to `want` mutually disjoint u-v paths of at most `threshold`
+    hops, each a shortest one avoiding the paths before it; returns their
+    vertex lists.  Vertex mode bans inner vertices and the used edges (which
+    blocks reuse of a parallel u-v edge), edge mode the used edges only."""
     banned_v = set()
     banned_e = set()
-    found = 0
-    while found < want:
-        hit = h.short_path(u, v, threshold, banned_vertices=banned_v, banned_edges=banned_e)
+    paths = []
+    while len(paths) < want:
+        hit = h.short_path(u, v, threshold, banned_v, banned_e)
         if hit is None:
-            return found
+            break
         verts, eids = hit
-        found += 1
+        paths.append(verts)
         if mode is FaultMode.VERTEX:
             banned_v.update(verts[1:-1])
-            banned_e.update(eids)  # blocks reuse of a parallel (u,v) edge
-        else:
-            banned_e.update(eids)
-    return found
+        banned_e.update(eids)
+    return paths
 
 
 def ft_test_exact(h, u, v, f, t_threshold, mode):
     """Exhaustive addition test: is there a fault set of size at most f whose
-    removal pushes u and v more than t_threshold hops apart?"""
+    removal pushes u and v more than t_threshold hops apart?
+
+    In order: peel up to f+1 disjoint short paths (none: u and v are far,
+    keep; more than f: no fault set cuts them all, reject); collect the fault
+    candidates within the threshold and cap f by their number (the peeled
+    paths settle that capped budget as well); then enumerate fault sets."""
     h = HopGraph.of(h)
-    if not h.within_hops(u, v, t_threshold):
+    found = len(_greedy_disjoint_short_paths(h, u, v, t_threshold, mode, f + 1))
+    if found == 0:
         return True
-    if f == 0:
+    if f == 0 or found > f:
         return False
     candidates = _useful_candidates(h, u, v, t_threshold, mode)
     f_eff = min(f, len(candidates))
-    if f_eff == 0:
+    if f_eff == 0 or found > f_eff:
         return False
-    # pigeonhole shortcut: f_eff+1 disjoint short paths survive any fault set
-    if _greedy_disjoint_short_paths(h, u, v, t_threshold, mode, f_eff + 1) > f_eff:
-        return False
-    if mode is FaultMode.VERTEX:
-        for fault in combinations(candidates, f_eff):
-            if not h.within_hops(u, v, t_threshold, banned_vertices=fault):
-                return True
-    else:
-        for fault in combinations(candidates, f_eff):
-            if not h.within_hops(u, v, t_threshold, banned_edges=fault):
-                return True
+    for fault in combinations(candidates, f_eff):
+        bans = (fault, ()) if mode is FaultMode.VERTEX else ((), fault)
+        if not h.within_hops(u, v, t_threshold, *bans):
+            return True
     return False
 
 
@@ -266,13 +268,7 @@ def ft_test_peeling_eft(h, u, v, f, t_threshold):
     """Edge-fault test by path peeling: repeatedly find a short u-v path and
     ban its edges; keep the edge iff some attempt (out of f+1) finds none."""
     h = HopGraph.of(h)
-    banned = set()
-    for _ in range(f + 1):
-        hit = h.short_path(u, v, t_threshold, banned_edges=banned)
-        if hit is None:
-            return True
-        banned.update(hit[1])
-    return False
+    return len(_greedy_disjoint_short_paths(h, u, v, t_threshold, FaultMode.EDGE, f + 1)) <= f
 
 
 @dataclass(frozen=True)
@@ -315,6 +311,10 @@ class FtSpannerState:
 
     def process_edge(self, u, v, w):
         """Run the configured addition test; keep and return True iff it passes."""
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u} cannot be a spanner edge")
         cfg = self.config
         idx = self._index
         self._index += 1
@@ -366,21 +366,14 @@ def extract_disjoint_paths(h, u, v, count, hop_bound):
     """Peel `count` internally-vertex-disjoint u-v paths of at most
     `hop_bound` hops each; raises ContractViolationError when peeling fails,
     which signals a broken spanner."""
-    h = HopGraph.of(h)
-    banned_v = set()
-    banned_e = set()
-    paths = []
-    for i in range(count):
-        hit = h.short_path(u, v, hop_bound, banned_vertices=banned_v, banned_edges=banned_e)
-        if hit is None:
-            raise ContractViolationError(
-                f"only {i} of {count} disjoint paths of <= {hop_bound} hops "
-                f"exist between {u} and {v}"
-            )
-        verts, eids = hit
-        paths.append(verts)
-        banned_v.update(verts[1:-1])
-        banned_e.update(eids)
+    paths = _greedy_disjoint_short_paths(
+        HopGraph.of(h), u, v, hop_bound, FaultMode.VERTEX, count
+    )
+    if len(paths) < count:
+        raise ContractViolationError(
+            f"only {len(paths)} of {count} disjoint paths of <= {hop_bound} hops "
+            f"exist between {u} and {v}"
+        )
     return paths
 
 

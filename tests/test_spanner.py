@@ -1,14 +1,17 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from streamnd import (
+    EdgeStream,
     FaultMode,
     FtConfig,
     FtSpannerState,
     Graph,
     TestKind,
+    build_spanner,
     extract_disjoint_paths,
     ft_test_exact,
     ft_test_peeling_eft,
@@ -18,7 +21,7 @@ from streamnd import (
 from streamnd.errors import ContractViolationError, ResourceLimitError
 from streamnd.spanner import HopGraph
 
-from conftest import seeded_graph
+from conftest import seeded_graph, short_digest
 
 VF, EF = FaultMode.VERTEX, FaultMode.EDGE
 THIRD = Fraction(1, 3)
@@ -230,3 +233,280 @@ def test_exact_built_spanners_always_verify():
             )
             for rec in state.kept:
                 assert state.scheme.bucket_of(rec.w) == rec.bucket
+
+
+def test_process_edge_rejects_bad_endpoints_before_indexing():
+    for test_kind, mode in (
+        (TestKind.EXACT, VF),
+        (TestKind.SAMPLED_VFT, VF),
+        (TestKind.PEELING_EFT, EF),
+    ):
+        state = FtSpannerState(3, FtConfig(f=1, t=2, mode=mode, test_kind=test_kind), 1)
+        assert state.process_edge(0, 1, 1)
+        for u, v in ((0, 7), (3, 1), (-1, 2), (1, 1)):
+            with pytest.raises(ValueError):
+                state.process_edge(u, v, 1)
+        assert state.kept_ids() == (0,) and not state.rejected
+        # the stream position did not advance on the refused edges
+        assert state.process_edge(1, 2, 1)
+        assert state.kept_ids() == (0, 1)
+
+
+def test_self_query_is_a_zero_hop_path():
+    h = _hop([(0, 1), (1, 2)], 3)
+    assert h.short_path(1, 1, 0) == ([1], [])
+    assert h.within_hops(1, 1, 0)
+    assert h.short_path(1, 1, 3, banned_vertices=[1]) is None
+    assert not h.within_hops(1, 1, 3, banned_vertices=[1])
+
+
+# Kept stream positions of small seeded builds, recorded before the exact test
+# was reordered (shortcut first, bounded candidate BFS, stamped hop BFS).
+KEPT_PINS = {
+    "exact-vft": ("5c185a7f67cb4784", FtConfig(f=2, t=2, mode=VF, eps=THIRD, test_kind=TestKind.EXACT)),
+    "exact-eft": ("4b7cbae1a85fd72c", FtConfig(f=4, t=2, mode=EF, eps=THIRD, test_kind=TestKind.EXACT)),
+    "peeling-eft": (
+        "427a0fb857d5a301",
+        FtConfig(f=4, t=2, mode=EF, eps=THIRD, test_kind=TestKind.PEELING_EFT),
+    ),
+    "sampled-vft": (
+        "7a651fa26049a456",
+        FtConfig(f=2, t=2, mode=VF, eps=THIRD, test_kind=TestKind.SAMPLED_VFT, seed=7),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_PINS))
+def test_kept_ids_pinned(name):
+    pin, cfg = KEPT_PINS[name]
+    kept = []
+    for seed in range(12):
+        g = seeded_graph(seed + 300, 9 + seed % 4, p=0.85)
+        stream = EdgeStream.from_edges(g.n, g.edges, shuffle_seed=seed)
+        kept.append(build_spanner(stream, cfg, 1).kept_ids())
+    assert short_digest(kept) == pin
+
+
+# ---------------------------------------------------------------------------
+# The addition test as it was before the shortcut-first order, the bounded
+# candidate BFS and the stamped hop BFS: the reference for the current code.
+
+
+class _RefHopGraph:
+    def __init__(self, n):
+        self.n = n
+        self.edges = []
+        self.adj = [[] for _ in range(n)]
+
+    def add_edge(self, u, v):
+        eid = len(self.edges)
+        self.edges.append((u, v))
+        self.adj[u].append((v, eid))
+        self.adj[v].append((u, eid))
+        return eid
+
+    def within_hops(self, u, v, limit, banned_vertices=(), banned_edges=()):
+        bv = set(banned_vertices)
+        be = set(banned_edges)
+        if u in bv or v in bv:
+            return False
+        if u == v:
+            return True
+        frontier = {u}
+        seen = {u}
+        for _ in range(limit):
+            nxt = set()
+            for x in frontier:
+                for y, eid in self.adj[x]:
+                    if eid in be or y in bv or y in seen:
+                        continue
+                    if y == v:
+                        return True
+                    nxt.add(y)
+            seen |= nxt
+            frontier = nxt
+            if not frontier:
+                return False
+        return False
+
+    def short_path(self, u, v, limit, banned_vertices=(), banned_edges=()):
+        bv = set(banned_vertices)
+        be = set(banned_edges)
+        if u in bv or v in bv:
+            return None
+        parent = {u: None}
+        frontier = [u]
+        for _ in range(limit):
+            nxt = []
+            for x in frontier:
+                for y, eid in self.adj[x]:
+                    if eid in be or y in bv or y in parent:
+                        continue
+                    parent[y] = (x, eid)
+                    if y == v:
+                        verts, eids = [v], []
+                        z = v
+                        while parent[z] is not None:
+                            pz, peid = parent[z]
+                            eids.append(peid)
+                            verts.append(pz)
+                            z = pz
+                        return verts[::-1], eids[::-1]
+                    nxt.append(y)
+            frontier = nxt
+            if not frontier:
+                return None
+        return None
+
+
+def _ref_bfs_hops(h, src):
+    dist = [None] * h.n
+    dist[src] = 0
+    queue = [src]
+    while queue:
+        nxt = []
+        for x in queue:
+            for y, _ in h.adj[x]:
+                if dist[y] is None:
+                    dist[y] = dist[x] + 1
+                    nxt.append(y)
+        queue = nxt
+    return dist
+
+
+def _ref_useful_candidates(h, u, v, threshold, mode):
+    du = _ref_bfs_hops(h, u)
+    dv = _ref_bfs_hops(h, v)
+    if mode is VF:
+        return [
+            x
+            for x in range(h.n)
+            if x not in (u, v)
+            and du[x] is not None
+            and dv[x] is not None
+            and du[x] + dv[x] <= threshold
+        ]
+    out = []
+    for eid, (a, b) in enumerate(h.edges):
+        if du[a] is None or du[b] is None or dv[a] is None or dv[b] is None:
+            continue
+        if min(du[a] + 1 + dv[b], du[b] + 1 + dv[a]) <= threshold:
+            out.append(eid)
+    return out
+
+
+def _ref_greedy_disjoint_short_paths(h, u, v, threshold, mode, want):
+    banned_v = set()
+    banned_e = set()
+    found = 0
+    while found < want:
+        hit = h.short_path(u, v, threshold, banned_vertices=banned_v, banned_edges=banned_e)
+        if hit is None:
+            return found
+        verts, eids = hit
+        found += 1
+        if mode is VF:
+            banned_v.update(verts[1:-1])
+        banned_e.update(eids)
+    return found
+
+
+def _ref_ft_test_exact(h, u, v, f, t_threshold, mode):
+    if not h.within_hops(u, v, t_threshold):
+        return True
+    if f == 0:
+        return False
+    candidates = _ref_useful_candidates(h, u, v, t_threshold, mode)
+    f_eff = min(f, len(candidates))
+    if f_eff == 0:
+        return False
+    if _ref_greedy_disjoint_short_paths(h, u, v, t_threshold, mode, f_eff + 1) > f_eff:
+        return False
+    for fault in itertools.combinations(candidates, f_eff):
+        if mode is VF:
+            if not h.within_hops(u, v, t_threshold, banned_vertices=fault):
+                return True
+        elif not h.within_hops(u, v, t_threshold, banned_edges=fault):
+            return True
+    return False
+
+
+def _both_graphs(n, edges):
+    ref, new = _RefHopGraph(n), HopGraph(n)
+    for a, b in edges:
+        ref.add_edge(a, b)
+        new.add_edge(a, b)
+    return ref, new
+
+
+def _random_multigraph(rng, n, u, v):
+    """Random edges with some doubled, plus 0-2 extra parallel u-v edges."""
+    edges = []
+    for _ in range(rng.randint(0, 2 * n)):
+        a, b = rng.sample(range(n), 2)
+        edges.append((a, b))
+        if rng.random() < 0.2:
+            edges.append((b, a))
+    edges += [(u, v)] * rng.randint(0, 2)
+    rng.shuffle(edges)
+    return edges
+
+
+def test_exact_matches_reference_on_edge_mode_boundary():
+    # edge candidates need all four end distances within `threshold` hops;
+    # a BFS cut at threshold - 1 drops (1, 0) copies here and flips the verdict
+    edges = [(5, 4), (0, 3), (1, 0), (1, 0), (2, 3), (1, 3), (4, 0), (4, 1), (0, 1), (3, 2), (1, 3)]
+    ref, new = _both_graphs(6, edges)
+    want = _ref_ft_test_exact(ref, 1, 0, 3, 1, EF)
+    assert ft_test_exact(new, 1, 0, 3, 1, EF) == want
+    assert want
+
+
+def test_exact_matches_reference_on_seeded_multigraphs():
+    rng = random.Random(4)
+    verdicts = set()
+    for _ in range(3000):
+        n = rng.randint(2, 9)
+        u, v = rng.sample(range(n), 2)
+        ref, new = _both_graphs(n, _random_multigraph(rng, n, u, v))
+        mode = rng.choice((VF, EF))
+        f = rng.randint(0, 3)
+        threshold = rng.choice((1, 3, 5))
+        want = _ref_ft_test_exact(ref, u, v, f, threshold, mode)
+        assert ft_test_exact(new, u, v, f, threshold, mode) == want, (ref.edges, u, v, mode, f, threshold)
+        verdicts.add((mode, f, threshold, want))
+    # every (mode, f, threshold) occurs with both verdicts
+    assert len(verdicts) == 2 * 4 * 3 * 2, sorted(verdicts)
+
+
+def test_short_path_matches_reference_under_bans():
+    rng = random.Random(5)
+    for _ in range(400):
+        n = rng.randint(2, 9)
+        u, v = rng.sample(range(n), 2)
+        ref, new = _both_graphs(n, _random_multigraph(rng, n, u, v))
+        for _ in range(6):
+            a, b = rng.randrange(n), rng.randrange(n)
+            if a != b:
+                ref.add_edge(a, b)
+                new.add_edge(a, b)
+            for _ in range(4):
+                x, y = rng.sample(range(n), 2)
+                limit = rng.randint(0, 6)
+                bv = rng.sample(range(n), rng.randint(0, 2))
+                be = set(rng.sample(range(len(ref.edges)), min(len(ref.edges), rng.randint(0, 3))))
+                want = ref.short_path(x, y, limit, bv, be)
+                assert new.short_path(x, y, limit, bv, be) == want
+                assert new.within_hops(x, y, limit, bv, be) == ref.within_hops(x, y, limit, bv, be)
+                assert new.within_hops(x, y, limit, bv, be) == (want is not None)
+
+
+def test_short_path_on_hop_graph_of_graph():
+    for seed in range(20):
+        g = seeded_graph(seed + 700, 8, p=0.5)
+        ref, new = _both_graphs(g.n, [(a, b) for a, b, _ in g.edges])
+        h = HopGraph.of(g)
+        for x, y in itertools.combinations(range(g.n), 2):
+            for limit in (1, 2, 4):
+                assert h.short_path(x, y, limit) == ref.short_path(x, y, limit)
+                assert h.short_path(x, y, limit, [1], {0}) == ref.short_path(x, y, limit, [1], {0})
