@@ -18,7 +18,7 @@ from itertools import chain
 from .cap1 import LinkRec, contracted_mst_links, solve_retained, unique_links
 # unused here; perfbench/test_tracer.py checks that tracing wraps this binding
 from .framework import exact_solve  # noqa: F401
-from .graph import ConnectivityMode, is_k_connected
+from .graph import ConnectivityMode, _biconnected, is_k_connected
 from .spqr import VIRTUAL, build_spqr
 from .streams import StreamingMst
 
@@ -67,6 +67,28 @@ class _SNodeData:
         return fmap
 
 
+def _needed_edges(g):
+    """Per edge id, whether an edge-minimal 2-connected subgraph of the
+    2-connected g keeps it.  Edges are tried from the highest id down on one
+    adjacency list: each is unlinked, and linked back only if the rest is no
+    longer 2-connected (one lowpoint DFS).  An edge at a vertex of degree 2
+    stays untried, since without it that vertex would hang off a cut vertex."""
+    adj = g.adjacency()
+    needed = [False] * len(g.edges)
+    for eid in range(len(g.edges) - 1, -1, -1):
+        u, v, _ = g.edges[eid]
+        if len(adj[u]) == 2 or len(adj[v]) == 2:
+            needed[eid] = True
+            continue
+        adj[u].remove((v, eid))
+        adj[v].remove((u, eid))
+        if not _biconnected(adj):
+            needed[eid] = True
+            adj[u].append((v, eid))
+            adj[v].append((u, eid))
+    return needed
+
+
 class Cap2State:
     """Stream state for 2-to-3 connectivity augmentation."""
 
@@ -95,18 +117,19 @@ class Cap2State:
     @staticmethod
     def from_base(g, scheme):
         """Validate, thin to an edge-minimal 2-connected subgraph, decompose,
-        and replay the removed base edges as weight-0 links."""
+        and replay the removed base edges as weight-0 links.
+
+        Thinning (`_needed_edges`) tries each edge once, highest id first,
+        on one adjacency list; the decomposition keeps cycle skeletons whole.
+        Only the two validations run `is_k_connected`: the one here and the
+        one inside `build_spqr`."""
         if g.n < 4:
             raise ValueError("need at least 4 vertices to aim for 3-connectivity")
         if not is_k_connected(g, 2, ConnectivityMode.VERTEX):
             raise ValueError("base graph must be 2-vertex-connected")
-        keep = list(range(len(g.edges)))
-        for eid in sorted(keep, reverse=True):
-            trial = [i for i in keep if i != eid]
-            if is_k_connected(g.subgraph(trial), 2, ConnectivityMode.VERTEX):
-                keep = trial
-        minimal = g.subgraph(keep)
-        removed = [g.edges[i] for i in range(len(g.edges)) if i not in set(keep)]
+        needed = _needed_edges(g)
+        minimal = g.subgraph(eid for eid, keep in enumerate(needed) if keep)
+        removed = [e for e, keep in zip(g.edges, needed) if not keep]
         tree = build_spqr(minimal)
         return Cap2State(g, minimal, removed, tree, scheme)
 

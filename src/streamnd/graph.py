@@ -377,11 +377,11 @@ def check_feasible(g, req, mode):
     for u, v, r in req.pairs():
         if r == 0:
             continue
+        _check_pair(g, u, v)
         if mode is ConnectivityMode.ELEMENT and not (g.reliable[u] and g.reliable[v]):
             raise ValueError(
                 f"element-connectivity requirement on non-reliable pair ({u},{v})"
             )
-        _check_pair(g, u, v)
         needed.append((u, v, r))
     # a pair can never exceed its smaller endpoint degree; screen before flows
     deg = [0] * g.n
@@ -413,7 +413,8 @@ def is_k_connected(g, k, mode):
     """True iff every vertex pair is at least k-connected under the mode.
 
     Vertex mode additionally requires n >= k + 1; there, k <= 3 is decided
-    by lowpoint DFS instead of pair flows.
+    by lowpoint DFS.  Otherwise every pair runs a flow on one network that is
+    reset between pairs.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -424,10 +425,12 @@ def is_k_connected(g, k, mode):
             return False
         if k <= 3:
             return _dfs_k_connected(g.adjacency(), k)
+    net, out_id = _build_net(g, mode)
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if _pair_flow(g, u, v, mode, limit=k) < k:
+            if net.max_flow(out_id[u], v, limit=k) < k:
                 return False
+            net.reset()
     return True
 
 

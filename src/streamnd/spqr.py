@@ -3,9 +3,11 @@
 
 Construction splits recursively on separation pairs until no skeleton has
 one, then merges adjacent dipole pairs and adjacent cycle pairs to a fixed
-point.  Correctness is the contract here, not linear time: each split
-search runs one cut-vertex DFS of G - a per skeleton vertex a, O(n (n + m)),
-and a skeleton can be split up to O(n) times.
+point.  A skeleton that is a cycle is final as it stands (Hopcroft and
+Tarjan's polygons), so it costs one degree count and no split search.
+Correctness is the contract here, not linear time: each split search on a
+skeleton that is not a cycle runs one cut-vertex DFS of G - a per skeleton
+vertex a, O(n (n + m)), and a skeleton can be split up to O(n) times.
 """
 
 from __future__ import annotations
@@ -291,7 +293,14 @@ def build_spqr(g):
         seen_pairs.add(key)
     if not is_k_connected(g, 2, ConnectivityMode.VERTEX):
         raise ValueError("graph is not 2-vertex-connected")
+    edges = [SkelEdge(u, v, REAL, eid) for eid, (u, v, _) in enumerate(g.edges)]
+    return _assemble(*_split_components(edges))
 
+
+def _split_components(edges):
+    """Split on separation pairs until no skeleton has one, keeping cycles
+    whole.  Returns the skeletons by working nid, numbered in the order they
+    become final, and the two working nids sharing each virtual edge."""
     vid_counter = count()
     skeletons = {}  # working nid -> list of SkelEdge
     vmap = {}  # vid -> [nid, nid]
@@ -300,7 +309,7 @@ def build_spqr(g):
     def recurse(edges):
         pairs = [(e.u, e.v) for e in edges]
         verts = sorted({x for p in pairs for x in p})
-        hit = _find_pair(verts, pairs)
+        hit = None if _is_cycle(verts, edges) else _find_pair(verts, pairs)
         if hit is None:
             nid = next(next_nid)
             skeletons[nid] = list(edges)
@@ -315,9 +324,14 @@ def build_spqr(g):
         recurse([e for i, e in enumerate(edges) if i in side] + [virt])
         recurse([e for i, e in enumerate(edges) if i not in side] + [virt])
 
-    recurse([SkelEdge(u, v, REAL, eid) for eid, (u, v, _) in enumerate(g.edges)])
+    recurse(edges)
+    return skeletons, vmap
 
-    # merge adjacent dipole pairs and adjacent cycle pairs to a fixed point
+
+def _assemble(skeletons, vmap):
+    """Merge adjacent dipole pairs and adjacent cycle pairs to a fixed point,
+    then freeze and root the tree; consumes the output of
+    `_split_components`."""
     def vertices_of(nid):
         return {x for e in skeletons[nid] for x in (e.u, e.v)}
 

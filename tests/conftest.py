@@ -70,3 +70,33 @@ def connected_after_removal(g, removed_vertices):
                 seen.add(y)
                 stack.append(y)
     return len(seen) == len(keep)
+
+
+def seeded_two_connected(seed, n):
+    """Simple 2-vertex-connected graph on n >= 4 vertices in shuffled edge
+    order, one of three shapes by seed: cycle plus chords (mostly S and P
+    nodes), dense G(n, 0.7) (mostly one R node), or a wheel-like hub with
+    spokes to part of a chorded rim (R nodes with S and P nodes around)."""
+    from streamnd import ConnectivityMode, is_k_connected
+
+    rng = random.Random(seed)
+    shape = seed % 3
+    while True:
+        if shape == 0:
+            g = random_two_connected(rng.randrange(10**6), n)
+            edges = {(u, v) for u, v, _ in g.edges}
+        elif shape == 1:
+            edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.7}
+        else:
+            rim = list(range(1, n))
+            rng.shuffle(rim)
+            edges = {(min(a, b), max(a, b)) for a, b in zip(rim, rim[1:] + rim[:1])}
+            edges |= {(0, x) for x in rng.sample(rim, rng.randint(2, n - 1))}
+            for _ in range(rng.randint(0, 2)):
+                a, b = rng.sample(rim, 2)
+                edges.add((min(a, b), max(a, b)))
+        edges = sorted(edges)
+        rng.shuffle(edges)
+        g = Graph.build(n, [(u, v) if rng.random() < 0.5 else (v, u) for u, v in edges])
+        if is_k_connected(g, 2, ConnectivityMode.VERTEX):
+            return g

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,10 @@ from streamnd import (
     generate,
     is_k_connected,
 )
+from streamnd import cap2
 from streamnd.errors import InfeasibleError
 
-from conftest import short_digest
+from conftest import seeded_two_connected, short_digest
 
 V = ConnectivityMode.VERTEX
 HALF = Fraction(1, 2)
@@ -60,6 +62,46 @@ def test_preprocess_minimality_bound():
         state = Cap2State.from_base(inst.base, scheme(8))
         assert len(state.base.edges) <= 2 * inst.base.n - 2
         assert is_k_connected(state.base, 2, V)
+
+
+def _thin_by_subgraphs(g):
+    """Reference for cap2._needed_edges: the thinning loop before it ran on
+    one adjacency list, with a new subgraph per trial."""
+    keep = list(range(len(g.edges)))
+    for eid in sorted(keep, reverse=True):
+        trial = [i for i in keep if i != eid]
+        if is_k_connected(g.subgraph(trial), 2, V):
+            keep = trial
+    removed = [g.edges[i] for i in range(len(g.edges)) if i not in set(keep)]
+    return keep, removed
+
+
+def _thinning_corpus():
+    rng = random.Random(11)
+    for seed in range(120):
+        g = seeded_two_connected(seed + 1000, 4 + seed % 9)
+        # parallel copies, sometimes reversed, at random positions
+        edges = list(g.edges)
+        for u, v, w in rng.sample(edges, rng.randint(0, 3)):
+            edges.insert(rng.randint(0, len(edges)), (v, u, w + 1))
+        yield Graph.build(g.n, edges)
+    for seed in range(40):
+        yield generate(
+            InstanceGenerator(
+                seed=seed, family=Family.TWO_CONNECTED, n=8 + seed % 5, chords=3,
+                link_count=0, ensure_augmentable=False,
+            )
+        ).base
+
+
+def test_thinning_matches_subgraph_loop():
+    for g in _thinning_corpus():
+        keep, removed = _thin_by_subgraphs(g)
+        needed = cap2._needed_edges(g)
+        assert [eid for eid, k in enumerate(needed) if k] == keep, g.edges
+        assert [e for e, k in zip(g.edges, needed) if not k] == removed, g.edges
+        state = Cap2State.from_base(g, scheme())
+        assert state.base == g.subgraph(keep)
 
 
 def test_preprocess_rejects_bad_base():

@@ -125,6 +125,10 @@ PATH4 = "4 3\n0 1 1\n1 2 1\n2 3 1\n"
             ["sndp", "--mode", "vc", "--t", "1", "--graph", "{graph}", "--req", "{req}"],
         ),
         (
+            {"graph": PATH4, "req": "0 9 1\n"},
+            ["sndp", "--mode", "elc", "--t", "1", "--graph", "{graph}", "--req", "{req}"],
+        ),
+        (
             {"graph": "3 2\n0 1 1\n0 7 1\n"},
             ["spanner", "--mode", "vft", "--f", "1", "--t", "2", "--eps", "1/3", "--test", "exact",
              "-i", "{graph}", "-o", "{graph}.out"],
@@ -136,6 +140,7 @@ PATH4 = "4 3\n0 1 1\n1 2 1\n2 3 1\n"
         "cap1-eps-0",
         "sndp-t-0",
         "sndp-req-vertex-outside-graph",
+        "sndp-elc-req-vertex-outside-graph",
         "spanner-edge-outside-graph",
     ],
 )

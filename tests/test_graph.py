@@ -82,6 +82,13 @@ def test_element_requirement_on_non_reliable_vertex_rejected():
         check_feasible(g, RequirementMap.from_pairs([(0, 1, 1)]), EL)
 
 
+def test_requirement_vertex_out_of_range_rejected_in_every_mode():
+    g = Graph.build(4, [(0, 1), (1, 2), (2, 3)])
+    for mode in ConnectivityMode:
+        with pytest.raises(ValueError, match="vertex out of range"):
+            check_feasible(g, RequirementMap.from_pairs([(0, 9, 1)]), mode)
+
+
 def test_is_k_connected_basics():
     k4 = Graph.build(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     assert is_k_connected(k4, 3, V)
@@ -148,6 +155,36 @@ def test_dfs_connectivity_matches_pairwise_flows():
             assert is_k_connected(g, k, V) == (want and g.n >= k + 1), (seed, k)
             seen.add((k, want))
     assert seen == {(k, ok) for k in (1, 2, 3) for ok in (True, False)}
+
+
+def test_flow_connectivity_matches_pair_connectivity():
+    # k >= 4 in vertex mode, and every k in edge and element mode, run pair
+    # flows on one network reset between pairs
+    rng = random.Random(3)
+    seen = set()
+    for seed in range(600):
+        g = _multigraph(seed)
+        edges = list(g.edges)
+        if seed % 4 == 3:
+            # near-complete multigraphs, for the higher levels
+            edges = [
+                (u, v) for u in range(g.n) for v in range(u + 1, g.n) if rng.random() < 0.9
+            ] * rng.choice((1, 2))
+        flags = [rng.random() < 0.7 for _ in range(g.n)]
+        g = Graph.build(g.n, edges, flags)
+        for mode in ConnectivityMode:
+            for k in range(1, 6):
+                want = all(
+                    pair_connectivity(g, u, v, mode) >= k
+                    for u, v in itertools.combinations(range(g.n), 2)
+                )
+                if mode is V:
+                    want = want and g.n >= k + 1
+                assert is_k_connected(g, k, mode) == want, (seed, mode, k)
+                seen.add((mode, k, want))
+    assert seen == {
+        (mode, k, ok) for mode in ConnectivityMode for k in range(1, 6) for ok in (True, False)
+    }
 
 
 def test_dfs_connectivity_fixed_cases(monkeypatch):

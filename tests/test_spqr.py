@@ -14,9 +14,9 @@ from streamnd import (
     to_debug_lines,
 )
 from streamnd import spqr
-from streamnd.spqr import REAL, VIRTUAL
+from streamnd.spqr import REAL, VIRTUAL, SkelEdge
 
-from conftest import connected_after_removal, random_two_connected
+from conftest import connected_after_removal, random_two_connected, seeded_two_connected
 
 V = ConnectivityMode.VERTEX
 
@@ -132,11 +132,84 @@ def test_separation_pair_needs_two_parallel_edges_on_two_vertices():
     assert find_separation_pair(Graph.build(3, [(0, 1), (1, 0)])) is None
 
 
-def test_cycle_collapses_to_single_s_node():
+def test_cycle_collapses_to_single_s_node(monkeypatch):
+    searched = []
+    real_find_pair = spqr._find_pair
+    monkeypatch.setattr(
+        spqr, "_find_pair", lambda *args: searched.append(args) or real_find_pair(*args)
+    )
     for n in (3, 4, 6, 9):
         tree = build_spqr(cycle(n))
         assert [node.kind for node in tree.nodes] == ["S"]
         assert len(tree.nodes[0].vertices) == n
+    # a cycle skeleton is final without a split search
+    assert searched == []
+
+
+def _split_components_by_triangles(edges):
+    """Reference for spqr._split_components: the recursion before cycle
+    skeletons were kept whole, which split every cycle down to triangles
+    for the merge phase to glue back together."""
+    vid_counter = itertools.count()
+    next_nid = itertools.count()
+    skeletons, vmap = {}, {}
+
+    def recurse(edges):
+        pairs = [(e.u, e.v) for e in edges]
+        verts = sorted({x for p in pairs for x in p})
+        hit = spqr._find_pair(verts, pairs)
+        if hit is None:
+            nid = next(next_nid)
+            skeletons[nid] = list(edges)
+            for e in edges:
+                if e.kind == VIRTUAL:
+                    vmap.setdefault(e.ref, []).append(nid)
+            return
+        a, b, classes = hit
+        side = set(spqr._choose_side(classes))
+        virt = SkelEdge(a, b, VIRTUAL, next(vid_counter))
+        recurse([e for i, e in enumerate(edges) if i in side] + [virt])
+        recurse([e for i, e in enumerate(edges) if i not in side] + [virt])
+
+    recurse(edges)
+    return skeletons, vmap
+
+
+def _reference_spqr(g):
+    edges = [SkelEdge(u, v, REAL, eid) for eid, (u, v, _) in enumerate(g.edges)]
+    return spqr._assemble(*_split_components_by_triangles(edges))
+
+
+def _vid_ranked(tree):
+    """Nodes, tree edges and parent edges with each virtual-edge id replaced
+    by its rank among the tree's virtual-edge ids."""
+    rank = {vid: i for i, vid in enumerate(sorted(vid for _, _, vid in tree.tree_edges))}
+
+    def edge(e):
+        return (e.u, e.v, e.kind, rank[e.ref] if e.kind == VIRTUAL else e.ref)
+
+    nodes = [
+        (node.nid, node.kind, node.vertices, [edge(e) for e in node.edges])
+        for node in tree.nodes
+    ]
+    tree_edges = [(x, y, rank[vid]) for x, y, vid in tree.tree_edges]
+    parent_vid = [None if vid is None else rank[vid] for vid in tree.parent_vid]
+    return nodes, tree_edges, parent_vid
+
+
+def test_whole_cycles_give_the_reference_tree():
+    kinds = set()
+    for seed in range(150):
+        g = seeded_two_connected(seed, 4 + seed % 10)
+        want = _reference_spqr(g)
+        got = build_spqr(g)
+        assert to_debug_lines(got) == to_debug_lines(want), seed
+        for attr in ("root", "parent", "depth", "children", "h_map", "l_map", "nodes_of_vertex"):
+            assert getattr(got, attr) == getattr(want, attr), (seed, attr)
+        assert _vid_ranked(got) == _vid_ranked(want), seed
+        kinds.add(tuple(sorted({node.kind for node in got.nodes})))
+    # the corpus has lone R nodes, lone cycles, and trees mixing all three kinds
+    assert {("R",), ("S",), ("P", "R", "S"), ("P", "S")} <= kinds
 
 
 def test_k4_is_single_r_node():
