@@ -9,12 +9,9 @@ from .errors import (
     ResourceLimitError,
 )
 from .graph import (
-    Biset,
     ConnectivityMode,
     Graph,
     RequirementMap,
-    biset_crossing,
-    biset_value,
     check_feasible,
     is_k_connected,
     load_graph,
@@ -33,7 +30,6 @@ from .spanner import (
     extract_disjoint_paths,
     ft_test_exact,
     ft_test_peeling_eft,
-    ft_test_sampled_vft,
     verify_ft_spanner,
 )
 from .framework import Analysis, FrameworkConfig, exact_solve, run_framework
@@ -42,10 +38,7 @@ from .spqr import (
     SpqrNode,
     SpqrTree,
     build_spqr,
-    canonical_form,
     enumerate_two_cuts,
-    find_separation_pair,
-    remerged_edges,
     to_debug_lines,
 )
 from .cap2 import Cap2State
@@ -61,7 +54,6 @@ from .oracle import (
 
 __all__ = [
     "Analysis",
-    "Biset",
     "BucketScheme",
     "Cap1State",
     "Cap2State",
@@ -86,20 +78,15 @@ __all__ = [
     "SpqrTree",
     "StreamingMst",
     "TestKind",
-    "biset_crossing",
-    "biset_value",
     "brute_optimal",
     "build_spanner",
     "build_spqr",
-    "canonical_form",
     "check_feasible",
     "enumerate_two_cuts",
     "exact_solve",
     "extract_disjoint_paths",
-    "find_separation_pair",
     "ft_test_exact",
     "ft_test_peeling_eft",
-    "ft_test_sampled_vft",
     "generate",
     "is_k_connected",
     "load_graph",
@@ -109,7 +96,6 @@ __all__ = [
     "offline_mst_weight",
     "open_stream",
     "pair_connectivity",
-    "remerged_edges",
     "run_framework",
     "save_graph",
     "to_debug_lines",

@@ -38,7 +38,7 @@ from .oracle import (
     max_disjoint_paths,
     offline_mst_weight,
 )
-from .spanner import FaultMode, FtConfig, FtSpannerState, TestKind, verify_ft_spanner
+from .spanner import FaultMode, FtConfig, TestKind, build_spanner, verify_ft_spanner
 from .streams import BucketScheme, EdgeStream, StreamingMst, open_stream
 
 MODES = {
@@ -47,11 +47,7 @@ MODES = {
     "elc": ConnectivityMode.ELEMENT,
 }
 FAULT_MODES = {"vft": FaultMode.VERTEX, "eft": FaultMode.EDGE}
-TESTS = {
-    "exact": TestKind.EXACT,
-    "sampled": TestKind.SAMPLED_VFT,
-    "peeling": TestKind.PEELING_EFT,
-}
+TESTS = {"exact": TestKind.EXACT, "peeling": TestKind.PEELING_EFT}
 
 
 def _fraction(text):
@@ -85,11 +81,9 @@ class _Timer:
 
 def _build_parser():
     top = argparse.ArgumentParser(prog="streamnd")
-    top.add_argument("--seed", type=int, default=0)
     top.add_argument("--json-pretty", action="store_true")
-    # the global flags are also accepted after the subcommand name
+    # the global flag is also accepted after the subcommand name
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--json-pretty", action="store_true", default=argparse.SUPPRESS)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -157,13 +151,7 @@ _CAPS = {
 }
 
 
-def _scan_max_weight(path):
-    _, edges = parse_graph_file(path)
-    return max((w for _, _, w in edges), default=0)
-
-
 def _cmd_spanner(args):
-    max_weight = _scan_max_weight(args.input)
     stream = open_stream(args.input, shuffle_seed=args.shuffle_seed)
     config = FtConfig(
         f=args.f,
@@ -171,12 +159,9 @@ def _cmd_spanner(args):
         mode=FAULT_MODES[args.mode],
         eps=args.eps,
         test_kind=TESTS[args.test] if args.test else None,
-        seed=args.seed,
     )
     with _Timer() as timer:
-        state = FtSpannerState(stream.n, config, max_weight)
-        for u, v, w in stream:
-            state.process_edge(u, v, w)
+        state = build_spanner(stream, config)
     save_graph(state.spanner_graph(), args.output)
     sidecar = {
         "stored_edges": state.stored_edge_count,
@@ -199,16 +184,13 @@ def _cmd_spanner(args):
 
 def _cmd_sndp(args):
     req = load_requirements(args.req)
-    max_weight = _scan_max_weight(args.graph)
     stream = open_stream(args.graph, shuffle_seed=args.shuffle_seed)
     reliable = None
     if args.reliability:
         reliable = load_reliability(args.reliability, stream.n)
     cfg = FrameworkConfig(t=args.t, mode=MODES[args.mode], analysis=Analysis(args.analysis))
     with _Timer() as timer:
-        result = run_framework(
-            stream, req, cfg, reliable=reliable, max_weight=max_weight, seed=args.seed
-        )
+        result = run_framework(stream, req, cfg, reliable=reliable)
     report = {
         "params": {
             "mode": args.mode,
@@ -236,16 +218,14 @@ def _cmd_sndp(args):
 def _cmd_cap(args):
     state_cls, augment_k, _ = _CAPS[args.command]
     base = load_graph(args.base)
-    max_weight = max(_scan_max_weight(args.links), 0)
-    scheme = BucketScheme(args.eps, max_weight)
     links_stream = open_stream(args.links, shuffle_seed=args.shuffle_seed)
     if links_stream.n != base.n:
         raise ParseError(args.links, 1, f"links declare n={links_stream.n}, base has n={base.n}")
+    links = list(links_stream)
+    scheme = BucketScheme(args.eps, max((w for _, _, w in links), default=0))
     with _Timer() as timer:
         state = state_cls.from_base(base, scheme)
-        links = []
-        for u, v, w in links_stream:
-            links.append((u, v, w))
+        for u, v, w in links:
             state.process_link(u, v, w)
         result = state.finalize()
     report = {
@@ -346,7 +326,7 @@ def _bench_sndp(seed, eps):
     req = RequirementMap.from_pairs([(u, v, r) for (u, v), r in chosen.items()])
     cfg = FrameworkConfig(t=2, mode=ConnectivityMode.VERTEX, analysis=Analysis.INTEGRAL)
     stream = EdgeStream.from_edges(inst.base.n, inst.base.edges)
-    result = run_framework(stream, req, cfg, max_weight=inst.base.max_weight(), seed=seed)
+    result = run_framework(stream, req, cfg, max_weight=inst.base.max_weight())
     empty = Graph.build(inst.base.n, ())
     _, opt = brute_optimal(empty, inst.base.edges, req, ConnectivityMode.VERTEX)
     return {
@@ -363,9 +343,8 @@ def _bench_spanner(seed, eps):
     gen = InstanceGenerator(seed=seed, family=Family.GNP, n=16, edge_prob=0.3)
     inst = generate(gen)
     config = FtConfig(f=1, t=2, mode=FaultMode.VERTEX, eps=eps, test_kind=TestKind.EXACT)
-    state = FtSpannerState(inst.base.n, config, inst.base.max_weight())
-    for u, v, w in inst.base.edges:
-        state.process_edge(u, v, w)
+    stream = EdgeStream.from_edges(inst.base.n, inst.base.edges)
+    state = build_spanner(stream, config, inst.base.max_weight())
     return {
         "seed": seed,
         "input_edges": len(inst.base.edges),

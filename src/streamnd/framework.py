@@ -132,7 +132,7 @@ class FrameworkResult:
     weight: int
 
 
-def run_framework(stream, req, cfg, reliable=None, max_weight=None, seed=0):
+def run_framework(stream, req, cfg, reliable=None, max_weight=None):
     """Single pass: keep a fault-tolerant spanner sized for the requirements,
     then solve exactly on it.  Raises InfeasibleError when even the full
     spanner cannot meet the requirements (only possible if the input cannot)."""
@@ -143,7 +143,6 @@ def run_framework(stream, req, cfg, reliable=None, max_weight=None, seed=0):
         mode=cfg.fault_mode(),
         eps=cfg.eps,
         test_kind=TestKind.EXACT,
-        seed=seed,
     )
     state = build_spanner(stream, ft, max_weight)
     spanner = state.spanner_graph(reliable=reliable)

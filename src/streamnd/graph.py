@@ -136,33 +136,6 @@ class RequirementMap:
         return 0
 
 
-@dataclass(frozen=True)
-class Biset:
-    """A nested vertex-set pair (inner, outer) with inner a subset of outer."""
-
-    inner: frozenset
-    outer: frozenset
-
-    def __post_init__(self):
-        if not self.inner <= self.outer:
-            raise ValueError("biset inner set must be contained in the outer set")
-
-
-def biset_crossing(g, biset):
-    """Edges with one endpoint in the inner set and the other outside the outer set."""
-    return sum(
-        1
-        for u, v, _ in g.edges
-        if (u in biset.inner and v not in biset.outer)
-        or (v in biset.inner and u not in biset.outer)
-    )
-
-
-def biset_value(g, biset):
-    """Crossing edges plus the vertices sandwiched between inner and outer set."""
-    return biset_crossing(g, biset) + len(biset.outer - biset.inner)
-
-
 # ---------------------------------------------------------------------------
 # rooted trees given by parent pointers; `tree` needs `parent` and `depth`
 # sequences with the root as its own parent

@@ -3,17 +3,16 @@
 Each weight bucket holds an independent unweighted spanner: an arriving edge
 is kept iff removing some small set of vertices (or edges) from the bucket
 spanner would push its endpoints further apart than the hop threshold 2t-1.
-Three addition tests are provided: an exhaustive one, a sampled polynomial
-one for vertex faults, and a path-peeling one for edge faults.  The
-exhaustive one peels disjoint short paths first, then finds fault candidates
-by BFSes bounded by the threshold, and only then enumerates fault sets.
+Two addition tests are provided: an exhaustive one for either fault mode,
+and a path-peeling one for edge faults.  The exhaustive one peels disjoint
+short paths first, then finds fault candidates by BFSes bounded by the
+threshold, and only then enumerates fault sets.
 """
 
 from __future__ import annotations
 
 import heapq
-import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
@@ -33,13 +32,7 @@ class TestKind(Enum):
     __test__ = False  # not a pytest collection target
 
     EXACT = "exact"
-    SAMPLED_VFT = "sampled"
     PEELING_EFT = "peeling"
-
-
-SAMPLED_VFT_SAMPLE_FACTOR = 16  # samples = 16 * ceil(log2 n)
-SAMPLED_VFT_ACCEPT_NUM = 1  # accept when >= 1/4 of samples look far
-SAMPLED_VFT_ACCEPT_DEN = 4
 
 
 @dataclass(frozen=True)
@@ -48,8 +41,8 @@ class FtConfig:
 
     The per-bucket hop threshold is 2t-1; with bucketing eps the whole
     spanner has weighted stretch (1+eps)(2t-1).  test_kind None lets the
-    builder pick: exhaustive for f <= 3 or n <= 12, otherwise the caller must
-    choose one of the polynomial tests explicitly.
+    builder pick the exhaustive test for f <= 3 or n <= 12; beyond that the
+    caller must choose a test explicitly.
     """
 
     f: int
@@ -57,15 +50,12 @@ class FtConfig:
     mode: FaultMode
     eps: object = Fraction(1, 3)
     test_kind: TestKind | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.f < 0:
             raise ValueError("fault budget f must be nonnegative")
         if self.t < 1:
             raise ValueError("stretch parameter t must be at least 1")
-        if self.test_kind is TestKind.SAMPLED_VFT and self.mode is not FaultMode.VERTEX:
-            raise ValueError("the sampled test applies to vertex faults only")
         if self.test_kind is TestKind.PEELING_EFT and self.mode is not FaultMode.EDGE:
             raise ValueError("the peeling test applies to edge faults only")
         if Fraction(self.eps) <= 0:
@@ -243,27 +233,6 @@ def ft_test_exact(h, u, v, f, t_threshold, mode):
     return False
 
 
-def ft_test_sampled_vft(h, u, v, f, t_threshold, rng_seed):
-    """Randomized vertex-fault test: sample induced subgraphs keeping u, v and
-    each other vertex with probability 1/(2f); report far if at least a
-    quarter of the samples have distance above the threshold."""
-    h = HopGraph.of(h)
-    if f == 0:
-        return not h.within_hops(u, v, t_threshold)
-    rng = random.Random(rng_seed)
-    n = h.n
-    samples = SAMPLED_VFT_SAMPLE_FACTOR * max(1, (n - 1).bit_length())
-    keep_p = 1.0 / (2 * f)
-    far = 0
-    for _ in range(samples):
-        banned = [
-            x for x in range(n) if x != u and x != v and rng.random() >= keep_p
-        ]
-        if not h.within_hops(u, v, t_threshold, banned_vertices=banned):
-            far += 1
-    return far * SAMPLED_VFT_ACCEPT_DEN >= samples * SAMPLED_VFT_ACCEPT_NUM
-
-
 def ft_test_peeling_eft(h, u, v, f, t_threshold):
     """Edge-fault test by path peeling: repeatedly find a short u-v path and
     ban its edges; keep the edge iff some attempt (out of f+1) finds none."""
@@ -286,13 +255,12 @@ class FtSpannerState:
     def __init__(self, n, config, max_weight):
         if config.test_kind is None:
             if config.f <= 3 or n <= 12:
-                config = FtConfig(
-                    config.f, config.t, config.mode, config.eps, TestKind.EXACT, config.seed
-                )
+                config = replace(config, test_kind=TestKind.EXACT)
             else:
                 raise ValueError(
-                    "exhaustive test would be too slow here; pick the sampled "
-                    "or peeling test explicitly"
+                    "exhaustive test would be too slow here; pass TestKind.EXACT, "
+                    "or TestKind.PEELING_EFT for edge faults, explicitly "
+                    "(--test exact|peeling)"
                 )
         self.n = n
         self.config = config
@@ -322,9 +290,6 @@ class FtSpannerState:
         h = self.bucket(j)
         if cfg.test_kind is TestKind.EXACT:
             keep = ft_test_exact(h, u, v, cfg.f, cfg.threshold, cfg.mode)
-        elif cfg.test_kind is TestKind.SAMPLED_VFT:
-            call_seed = cfg.seed * 1_000_003 + idx
-            keep = ft_test_sampled_vft(h, u, v, cfg.f, cfg.threshold, call_seed)
         else:
             keep = ft_test_peeling_eft(h, u, v, cfg.f, cfg.threshold)
         rec = KeptEdge(idx, u, v, w, j)

@@ -18,7 +18,6 @@ from itertools import count
 
 from .graph import (
     ConnectivityMode,
-    _biconnected,
     _cut_gains,
     is_k_connected,
     tree_in_subtree,
@@ -209,31 +208,6 @@ def _find_pair(vertices, endpoint_pairs):
                 rest = [i for i in range(len(endpoint_pairs)) if i not in parallel]
                 return a, b, [parallel, rest]
     return None
-
-
-def _check_two_connected(g, touched):
-    # on two vertices the pair's disjoint paths are its parallel edges
-    if len(touched) == 2:
-        ok = len(g.edges) >= 2
-    else:
-        ok = _biconnected(g.adjacency(), set(range(g.n)).difference(touched))
-    if not ok:
-        raise ValueError("graph is not 2-vertex-connected")
-
-
-def find_separation_pair(g):
-    """Some separation pair of g with its separation-class partition of the
-    edge ids, or None when g has none.  Vertices without edges are ignored."""
-    if not g.edges:
-        raise ValueError("graph has no edges")
-    touched = sorted({u for u, v, _ in g.edges} | {v for u, v, _ in g.edges})
-    _check_two_connected(g, touched)
-    pairs = [(u, v) for u, v, _ in g.edges]
-    hit = _find_pair(touched, pairs)
-    if hit is None:
-        return None
-    a, b, classes = hit
-    return a, b, tuple(tuple(cls) for cls in classes)
 
 
 def _choose_side(classes):
@@ -465,37 +439,6 @@ def enumerate_two_cuts(tree):
     return cuts
 
 
-def remerged_edges(tree):
-    """Undo every split bottom-up; returns the reconstructed multiset of
-    (u, v) pairs, which must match the input graph's edges exactly."""
-    rep = {node.nid: node.nid for node in tree.nodes}
-
-    def find(x):
-        while rep[x] != x:
-            rep[x] = rep[rep[x]]
-            x = rep[x]
-        return x
-
-    skeletons = {node.nid: list(node.edges) for node in tree.nodes}
-    deepest_first = sorted(
-        tree.tree_edges, key=lambda t: (-max(tree.depth[t[0]], tree.depth[t[1]]), t[2])
-    )
-    for x, y, vid in deepest_first:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            raise AssertionError("tree edges must join distinct components")
-        merged = [e for e in skeletons[rx] if not (e.kind == VIRTUAL and e.ref == vid)]
-        merged += [e for e in skeletons[ry] if not (e.kind == VIRTUAL and e.ref == vid)]
-        target, gone = min(rx, ry), max(rx, ry)
-        rep[gone] = target
-        skeletons[target] = merged
-        del skeletons[gone]
-    (final,) = skeletons.values()
-    if any(e.kind != REAL for e in final):
-        raise AssertionError("a full remerge must eliminate every virtual edge")
-    return sorted(e.pair() for e in final)
-
-
 def to_debug_lines(tree):
     """One node per line: 'id kind vertices | real-edges | virtual-edges(peer-id)'."""
     peer = {}
@@ -512,21 +455,3 @@ def to_debug_lines(tree):
         )
         lines.append(f"{node.nid} {node.kind} {verts} | {reals} | {virts}")
     return lines
-
-
-def canonical_form(tree):
-    """Serialization that is stable under node renumbering, for tree equality
-    up to isomorphism in tests."""
-
-    def describe(node):
-        verts = ",".join(map(str, sorted(node.vertices)))
-        reals = ",".join(f"{u}-{v}" for u, v in sorted(e.pair() for e in node.real_edges()))
-        virts = ",".join(f"{u}-{v}" for u, v in sorted(e.pair() for e in node.virtual_edges()))
-        return f"{node.kind}[{verts}|{reals}|{virts}]"
-
-    descs = {node.nid: describe(node) for node in tree.nodes}
-    node_part = sorted(descs.values())
-    edge_part = sorted(
-        "--".join(sorted((descs[x], descs[y]))) for x, y, _ in tree.tree_edges
-    )
-    return ";".join(node_part) + "//" + ";".join(edge_part)

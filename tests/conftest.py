@@ -4,6 +4,7 @@ import random
 from hypothesis import HealthCheck, settings
 
 from streamnd import Graph
+from streamnd.spqr import REAL, VIRTUAL
 
 settings.register_profile(
     "suite",
@@ -100,3 +101,52 @@ def seeded_two_connected(seed, n):
         g = Graph.build(n, [(u, v) if rng.random() < 0.5 else (v, u) for u, v in edges])
         if is_k_connected(g, 2, ConnectivityMode.VERTEX):
             return g
+
+
+def remerged_edges(tree):
+    """Undo every split bottom-up; returns the reconstructed multiset of
+    (u, v) pairs, which must match the input graph's edges exactly."""
+    rep = {node.nid: node.nid for node in tree.nodes}
+
+    def find(x):
+        while rep[x] != x:
+            rep[x] = rep[rep[x]]
+            x = rep[x]
+        return x
+
+    skeletons = {node.nid: list(node.edges) for node in tree.nodes}
+    deepest_first = sorted(
+        tree.tree_edges, key=lambda t: (-max(tree.depth[t[0]], tree.depth[t[1]]), t[2])
+    )
+    for x, y, vid in deepest_first:
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            raise AssertionError("tree edges must join distinct components")
+        merged = [e for e in skeletons[rx] if not (e.kind == VIRTUAL and e.ref == vid)]
+        merged += [e for e in skeletons[ry] if not (e.kind == VIRTUAL and e.ref == vid)]
+        target, gone = min(rx, ry), max(rx, ry)
+        rep[gone] = target
+        skeletons[target] = merged
+        del skeletons[gone]
+    (final,) = skeletons.values()
+    if any(e.kind != REAL for e in final):
+        raise AssertionError("a full remerge must eliminate every virtual edge")
+    return sorted(e.pair() for e in final)
+
+
+def canonical_form(tree):
+    """Serialization that is stable under node renumbering, for tree equality
+    up to isomorphism in tests."""
+
+    def describe(node):
+        verts = ",".join(map(str, sorted(node.vertices)))
+        reals = ",".join(f"{u}-{v}" for u, v in sorted(e.pair() for e in node.real_edges()))
+        virts = ",".join(f"{u}-{v}" for u, v in sorted(e.pair() for e in node.virtual_edges()))
+        return f"{node.kind}[{verts}|{reals}|{virts}]"
+
+    descs = {node.nid: describe(node) for node in tree.nodes}
+    node_part = sorted(descs.values())
+    edge_part = sorted(
+        "--".join(sorted((descs[x], descs[y]))) for x, y, _ in tree.tree_edges
+    )
+    return ";".join(node_part) + "//" + ";".join(edge_part)

@@ -39,7 +39,12 @@ from streamnd import (
 )
 from streamnd.spqr import REAL
 
-from conftest import connected_after_removal, random_two_connected, seeded_graph
+from conftest import (
+    connected_after_removal,
+    random_two_connected,
+    remerged_edges,
+    seeded_graph,
+)
 
 V, E, EL = ConnectivityMode.VERTEX, ConnectivityMode.EDGE, ConnectivityMode.ELEMENT
 
@@ -182,7 +187,7 @@ def test_criterion_04_framework_ratios(capsys):
         analysis = Analysis.INTEGRAL if mode is V else Analysis.FRACTIONAL
         cfg = FrameworkConfig(t=t, mode=mode, analysis=analysis)
         stream = EdgeStream.from_edges(n, g.edges)
-        res = run_framework(stream, req, cfg, reliable=reliable, max_weight=g.max_weight(), seed=seed)
+        res = run_framework(stream, req, cfg, reliable=reliable, max_weight=g.max_weight())
         empty = Graph.build(n, (), g.reliable)
         _, opt = brute_optimal(empty, g.edges, req, mode)
         ratio = res.weight / opt if opt else 1.0
@@ -266,7 +271,7 @@ def test_criterion_07_spqr_decomposition(capsys):
             cuts == brute,
             tree.skeleton_edge_total() <= 3 * len(g.edges) - 6,
             reals == list(range(len(g.edges))),
-            __import__("streamnd").remerged_edges(tree)
+            remerged_edges(tree)
             == sorted((min(u, v), max(u, v)) for u, v, _ in g.edges),
         ]
         if not all(checks):

@@ -13,14 +13,13 @@ from streamnd import (
     RequirementMap,
     brute_optimal,
     build_spqr,
-    canonical_form,
     generate,
     is_k_connected,
 )
 from streamnd import cap2
 from streamnd.errors import InfeasibleError
 
-from conftest import seeded_two_connected, short_digest
+from conftest import canonical_form, seeded_two_connected, short_digest
 
 V = ConnectivityMode.VERTEX
 HALF = Fraction(1, 2)

@@ -53,6 +53,55 @@ def test_usage_error_exits_one():
     assert code == 1
 
 
+def test_removed_test_kind_is_a_usage_error(tmp_path, c4_file):
+    code, _, err = run_cli(
+        ["spanner", "--mode", "vft", "--f", "1", "--t", "2", "--eps", "1/3",
+         "--test", "sampled", "-i", c4_file, "-o", str(tmp_path / "h.txt")]
+    )
+    assert code == 1
+    assert "invalid choice: 'sampled'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["--seed", "3", "cap1", "--base", "{base}", "--links", "{links}", "--eps", "1/2"],
+            "invalid choice: '3'",
+        ),
+        (
+            ["cap1", "--base", "{base}", "--links", "{links}", "--eps", "1/2", "--seed", "3"],
+            "unrecognized arguments: --seed 3",
+        ),
+    ],
+    ids=["before-command", "after-command"],
+)
+def test_seed_flag_is_gone(tmp_path, argv, message):
+    paths = {
+        "base": write(tmp_path / "t.txt", "3 2\n0 1 1\n1 2 1\n"),
+        "links": write(tmp_path / "l.txt", "3 1\n0 2 3\n"),
+    }
+    code, out, err = run_cli([arg.format(**paths) for arg in argv])
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+def test_large_vertex_fault_budget_needs_an_explicit_test(tmp_path):
+    ring = "".join(f"{i} {(i + 1) % 13} 1\n" for i in range(13))
+    graph = write(tmp_path / "ring.txt", f"13 13\n{ring}")
+    out_path = tmp_path / "h.txt"
+    code, out, err = run_cli(
+        ["spanner", "--mode", "vft", "--f", "4", "--t", "2", "--eps", "1/3",
+         "-i", graph, "-o", str(out_path)]
+    )
+    assert code == 1
+    assert out == "" and not out_path.exists()
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "--test exact" in lines[0]
+
+
 def test_sndp_with_oracle(tmp_path, c4_file):
     req = write(tmp_path / "req.txt", "0 2 2\n")
     code, out, _ = run_cli(

@@ -132,7 +132,7 @@ def test_framework_feasibility_transfer():
         req = RequirementMap.from_pairs(pairs)
         cfg = FrameworkConfig(t=2, mode=V, analysis=Analysis.INTEGRAL)
         stream = EdgeStream.from_edges(g.n, g.edges)
-        res = run_framework(stream, req, cfg, max_weight=5, seed=seed)
+        res = run_framework(stream, req, cfg, max_weight=5)
         sol = Graph.build(g.n, res.solution)
         assert check_feasible(sol, req, V)
         assert res.stored_edges <= len(g.edges)

@@ -15,7 +15,6 @@ from streamnd import (
     extract_disjoint_paths,
     ft_test_exact,
     ft_test_peeling_eft,
-    ft_test_sampled_vft,
     verify_ft_spanner,
 )
 from streamnd.errors import ContractViolationError, ResourceLimitError
@@ -95,27 +94,6 @@ def test_exact_agrees_with_independent_enumeration():
                     assert got == want, (seed, mode, f, threshold)
 
 
-def test_sampled_trivial_cases():
-    h = _hop([(0, 1)], 2)
-    assert not ft_test_sampled_vft(h, 0, 1, 2, 3, rng_seed=5)
-    far = _hop([], 2)
-    assert ft_test_sampled_vft(far, 0, 1, 2, 3, rng_seed=5)
-
-
-def test_sampled_builders_usually_verify():
-    passes = 0
-    for seed in range(100):
-        g = seeded_graph(seed, 7 + seed % 4, p=0.6)
-        f = 1 + seed % 2
-        cfg = FtConfig(f=f, t=2, mode=VF, eps=THIRD, test_kind=TestKind.SAMPLED_VFT, seed=seed)
-        state = FtSpannerState(g.n, cfg, 1)
-        for u, v, w in g.edges:
-            state.process_edge(u, v, w)
-        if verify_ft_spanner(g, state.kept_ids(), cfg):
-            passes += 1
-    assert passes >= 95, passes
-
-
 def test_peeling_trivial_cases():
     h = _hop([], 2)
     assert ft_test_peeling_eft(h, 0, 1, 2, 3)
@@ -136,8 +114,6 @@ def test_config_validation():
         FtConfig(f=-1, t=2, mode=VF)
     with pytest.raises(ValueError):
         FtConfig(f=1, t=0, mode=VF)
-    with pytest.raises(ValueError):
-        FtConfig(f=1, t=2, mode=EF, test_kind=TestKind.SAMPLED_VFT)
     with pytest.raises(ValueError):
         FtConfig(f=1, t=2, mode=VF, test_kind=TestKind.PEELING_EFT)
     with pytest.raises(ValueError):
@@ -238,7 +214,6 @@ def test_exact_built_spanners_always_verify():
 def test_process_edge_rejects_bad_endpoints_before_indexing():
     for test_kind, mode in (
         (TestKind.EXACT, VF),
-        (TestKind.SAMPLED_VFT, VF),
         (TestKind.PEELING_EFT, EF),
     ):
         state = FtSpannerState(3, FtConfig(f=1, t=2, mode=mode, test_kind=test_kind), 1)
@@ -268,10 +243,6 @@ KEPT_PINS = {
     "peeling-eft": (
         "427a0fb857d5a301",
         FtConfig(f=4, t=2, mode=EF, eps=THIRD, test_kind=TestKind.PEELING_EFT),
-    ),
-    "sampled-vft": (
-        "7a651fa26049a456",
-        FtConfig(f=2, t=2, mode=VF, eps=THIRD, test_kind=TestKind.SAMPLED_VFT, seed=7),
     ),
 }
 

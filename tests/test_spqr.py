@@ -7,16 +7,19 @@ from streamnd import (
     ConnectivityMode,
     Graph,
     build_spqr,
-    canonical_form,
     enumerate_two_cuts,
-    find_separation_pair,
-    remerged_edges,
     to_debug_lines,
 )
 from streamnd import spqr
 from streamnd.spqr import REAL, VIRTUAL, SkelEdge
 
-from conftest import connected_after_removal, random_two_connected, seeded_two_connected
+from conftest import (
+    canonical_form,
+    connected_after_removal,
+    random_two_connected,
+    remerged_edges,
+    seeded_two_connected,
+)
 
 V = ConnectivityMode.VERTEX
 
@@ -46,28 +49,27 @@ def brute_two_cuts(g):
     return cuts
 
 
+def _find_pair_of(g):
+    """spqr._find_pair on the vertices and edge endpoints of g."""
+    pairs = [(u, v) for u, v, _ in g.edges]
+    return spqr._find_pair(sorted({x for p in pairs for x in p}), pairs)
+
+
 def test_separation_pair_none_for_k4():
-    assert find_separation_pair(K4) is None
+    assert _find_pair_of(K4) is None
 
 
 def test_separation_pair_two_triangles():
     g = Graph.build(4, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 1)])
-    a, b, classes = find_separation_pair(g)
+    a, b, classes = _find_pair_of(g)
     assert (a, b) == (0, 1)
     assert sorted(sorted(c) for c in classes) == [[0, 1], [2, 3], [4]]
 
 
-def test_separation_pair_rejects_low_connectivity():
-    with pytest.raises(ValueError):
-        find_separation_pair(Graph.build(3, [(0, 1), (1, 2)]))
-
-
 def test_separation_pair_classes_partition_random():
-    from streamnd.graph import pair_connectivity
-
     for seed in range(10):
         g = random_two_connected(seed, 6 + seed % 3)
-        hit = find_separation_pair(g)
+        hit = _find_pair_of(g)
         if hit is None:
             continue
         a, b, classes = hit
@@ -127,9 +129,7 @@ def test_find_pair_matches_pairwise_scan(monkeypatch):
 
 
 def test_separation_pair_needs_two_parallel_edges_on_two_vertices():
-    with pytest.raises(ValueError):
-        find_separation_pair(Graph.build(2, [(0, 1)]))
-    assert find_separation_pair(Graph.build(3, [(0, 1), (1, 0)])) is None
+    assert _find_pair_of(Graph.build(3, [(0, 1), (1, 0)])) is None
 
 
 def test_cycle_collapses_to_single_s_node(monkeypatch):
