@@ -92,8 +92,7 @@ def _needed_edges(g):
 class Cap2State:
     """Stream state for 2-to-3 connectivity augmentation."""
 
-    def __init__(self, original_base, minimal_base, removed, tree, scheme):
-        self.original_base = original_base
+    def __init__(self, minimal_base, removed, tree, scheme):
         self.base = minimal_base
         self.tree = tree
         self.scheme = scheme
@@ -131,7 +130,7 @@ class Cap2State:
         minimal = g.subgraph(eid for eid, keep in enumerate(needed) if keep)
         removed = [e for e, keep in zip(g.edges, needed) if not keep]
         tree = build_spqr(minimal)
-        return Cap2State(g, minimal, removed, tree, scheme)
+        return Cap2State(minimal, removed, tree, scheme)
 
     # -- stream phase
 

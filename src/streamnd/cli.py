@@ -80,14 +80,18 @@ class _Timer:
 
 
 def _build_parser():
-    top = argparse.ArgumentParser(prog="streamnd")
+    top = argparse.ArgumentParser(prog="streamnd", allow_abbrev=False)
     top.add_argument("--json-pretty", action="store_true")
     # the global flag is also accepted after the subcommand name
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--json-pretty", action="store_true", default=argparse.SUPPRESS)
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spanner", help="build a fault-tolerant spanner from a stream", parents=[common])
+    def command(name, summary):
+        # no option-prefix matching: `--seed` must not pass for `--seeds`
+        return sub.add_parser(name, help=summary, parents=[common], allow_abbrev=False)
+
+    p = command("spanner", "build a fault-tolerant spanner from a stream")
     p.add_argument("--mode", choices=FAULT_MODES, required=True)
     p.add_argument("--f", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
@@ -97,7 +101,7 @@ def _build_parser():
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", required=True)
 
-    p = sub.add_parser("sndp", help="spanner-then-exact-solve for a requirement map", parents=[common])
+    p = command("sndp", "spanner-then-exact-solve for a requirement map")
     p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--analysis", choices=[a.value for a in Analysis], default="fractional")
@@ -107,28 +111,28 @@ def _build_parser():
     p.add_argument("--shuffle-seed", type=int, default=None)
     p.add_argument("--oracle", action="store_true")
 
-    p = sub.add_parser("cap1", help="augment a tree to 2-vertex-connectivity", parents=[common])
+    p = command("cap1", "augment a tree to 2-vertex-connectivity")
     p.add_argument("--base", required=True)
     p.add_argument("--links", required=True)
     p.add_argument("--eps", type=_fraction, required=True)
     p.add_argument("--shuffle-seed", type=int, default=None)
     p.add_argument("--oracle", action="store_true")
 
-    p = sub.add_parser("cap2", help="augment a 2-connected base to 3-connectivity", parents=[common])
+    p = command("cap2", "augment a 2-connected base to 3-connectivity")
     p.add_argument("--base", required=True)
     p.add_argument("--links", required=True)
     p.add_argument("--eps", type=_fraction, required=True)
     p.add_argument("--shuffle-seed", type=int, default=None)
     p.add_argument("--oracle", action="store_true")
 
-    p = sub.add_parser("oracle", help="optimal solution by brute-force enumeration", parents=[common])
+    p = command("oracle", "optimal solution by brute-force enumeration")
     p.add_argument("--base", required=True)
     p.add_argument("--links", required=True)
     p.add_argument("--req", required=True)
     p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--reliability", default=None)
 
-    p = sub.add_parser("verify-spanner", help="exhaustive fault-tolerance check", parents=[common])
+    p = command("verify-spanner", "exhaustive fault-tolerance check")
     p.add_argument("--graph", required=True)
     p.add_argument("--spanner", required=True)
     p.add_argument("--mode", choices=FAULT_MODES, required=True)
@@ -136,7 +140,7 @@ def _build_parser():
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--eps", type=_fraction, required=True)
 
-    p = sub.add_parser("bench", help="seeded suite runs, one JSON line per seed", parents=[common])
+    p = command("bench", "seeded suite runs, one JSON line per seed")
     p.add_argument("--suite", choices=["spanner", "sndp", "cap1", "cap2", "mst", "menger"], required=True)
     p.add_argument("--seeds", required=True, help="inclusive range, e.g. 1..100")
     p.add_argument("--eps", type=_fraction, default=Fraction(1, 2))

@@ -5,8 +5,8 @@ is kept iff removing some small set of vertices (or edges) from the bucket
 spanner would push its endpoints further apart than the hop threshold 2t-1.
 Two addition tests are provided: an exhaustive one for either fault mode,
 and a path-peeling one for edge faults.  The exhaustive one peels disjoint
-short paths first, then finds fault candidates by BFSes bounded by the
-threshold, and only then enumerates fault sets.
+short paths first, then branches on the vertices or edges of one surviving
+short path at a time; every hop query is one bounded `HopGraph.short_path`.
 """
 
 from __future__ import annotations
@@ -139,55 +139,6 @@ class HopGraph:
         return None
 
 
-def _bfs_hops(h, src, limit):
-    """Hop distances from src up to `limit`; None for vertices further away."""
-    dist = [None] * h.n
-    dist[src] = 0
-    frontier = [src]
-    for d in range(1, limit + 1):
-        nxt = []
-        for x in frontier:
-            for y, _ in h.adj[x]:
-                if dist[y] is None:
-                    dist[y] = d
-                    nxt.append(y)
-        if not nxt:
-            break
-        frontier = nxt
-    return dist
-
-
-def _useful_candidates(h, u, v, threshold, mode):
-    """Fault candidates that lie on some u-v path of at most `threshold` hops.
-
-    Faulting anything else can never raise the u-v distance past the
-    threshold, so restricting the exhaustive search to these candidates is
-    lossless.  The BFSes stop one hop short of the threshold for vertices (a
-    candidate is a hop or more from both ends) and at it for edges: an edge
-    (a, b) with du[a] + 1 + dv[b] <= threshold has all four end distances
-    within the threshold, so the edge filter below loses nothing to the bound.
-    """
-    limit = threshold - 1 if mode is FaultMode.VERTEX else threshold
-    du = _bfs_hops(h, u, limit)
-    dv = _bfs_hops(h, v, limit)
-    if mode is FaultMode.VERTEX:
-        return [
-            x
-            for x in range(h.n)
-            if x not in (u, v)
-            and du[x] is not None
-            and dv[x] is not None
-            and du[x] + dv[x] <= threshold
-        ]
-    out = []
-    for eid, (a, b) in enumerate(h.edges):
-        if du[a] is None or du[b] is None or dv[a] is None or dv[b] is None:
-            continue
-        if min(du[a] + 1 + dv[b], du[b] + 1 + dv[a]) <= threshold:
-            out.append(eid)
-    return out
-
-
 def _greedy_disjoint_short_paths(h, u, v, threshold, mode, want):
     """Peel up to `want` mutually disjoint u-v paths of at most `threshold`
     hops, each a shortest one avoiding the paths before it; returns their
@@ -212,25 +163,39 @@ def ft_test_exact(h, u, v, f, t_threshold, mode):
     """Exhaustive addition test: is there a fault set of size at most f whose
     removal pushes u and v more than t_threshold hops apart?
 
-    In order: peel up to f+1 disjoint short paths (none: u and v are far,
-    keep; more than f: no fault set cuts them all, reject); collect the fault
-    candidates within the threshold and cap f by their number (the peeled
-    paths settle that capped budget as well); then enumerate fault sets."""
+    Peel up to f+1 disjoint short paths first (none: u and v are far, keep;
+    more than f: no fault set cuts them all, reject).  Otherwise branch on
+    the elements of one surviving short path: every cutting fault set hits
+    it, so at most sum_{i<=f} L^i further hop queries settle the verdict,
+    where a path has L <= t_threshold - 1 inner vertices (vertex mode) or
+    L <= t_threshold edges (edge mode)."""
     h = HopGraph.of(h)
     found = len(_greedy_disjoint_short_paths(h, u, v, t_threshold, mode, f + 1))
     if found == 0:
         return True
     if f == 0 or found > f:
         return False
-    candidates = _useful_candidates(h, u, v, t_threshold, mode)
-    f_eff = min(f, len(candidates))
-    if f_eff == 0 or found > f_eff:
-        return False
-    for fault in combinations(candidates, f_eff):
-        bans = (fault, ()) if mode is FaultMode.VERTEX else ((), fault)
-        if not h.within_hops(u, v, t_threshold, *bans):
-            return True
-    return False
+    return _cut_exists(h, u, v, f, t_threshold, mode, (), ())
+
+
+def _cut_exists(h, u, v, budget, threshold, mode, bv, be):
+    """True iff at most `budget` more faults, on top of the bans `bv` / `be`,
+    push u and v more than `threshold` hops apart."""
+    if budget == 0:
+        return not h.within_hops(u, v, threshold, bv, be)
+    hit = h.short_path(u, v, threshold, bv, be)
+    if hit is None:
+        return True
+    verts, eids = hit
+    if mode is FaultMode.VERTEX:
+        return any(
+            _cut_exists(h, u, v, budget - 1, threshold, mode, bv + (x,), be)
+            for x in verts[1:-1]
+        )
+    return any(
+        _cut_exists(h, u, v, budget - 1, threshold, mode, bv, be + (e,))
+        for e in eids
+    )
 
 
 def ft_test_peeling_eft(h, u, v, f, t_threshold):
@@ -346,7 +311,7 @@ def extract_disjoint_paths(h, u, v, count, hop_bound):
 # brute-force verification
 
 
-def _dijkstra(n, adj, src, banned_vertices, banned_edges):
+def _dijkstra(adj, src, banned_vertices, banned_edges):
     dist = {src: 0}
     heap = [(0, src)]
     while heap:
@@ -386,9 +351,9 @@ def verify_ft_spanner(g, kept_ids, config, guard=10_000_000):
         universe = list(range(n))
     else:
         universe = list(range(len(g.edges)))
-    f_eff = min(f, len(universe))
+    max_size = min(f, len(universe))
     pairs = n * (n - 1) // 2
-    total = sum(comb(len(universe), s) for s in range(f_eff + 1))
+    total = sum(comb(len(universe), s) for s in range(max_size + 1))
     if total * pairs > guard:
         raise ResourceLimitError(
             f"fault-set enumeration too large: {total} sets x {pairs} pairs"
@@ -397,7 +362,7 @@ def verify_ft_spanner(g, kept_ids, config, guard=10_000_000):
     g_adj = _weighted_adj(g, range(len(g.edges)))
     h_adj = _weighted_adj(g, sorted(kept))
 
-    for size in range(f_eff + 1):
+    for size in range(max_size + 1):
         for fault in combinations(universe, size):
             if config.mode is FaultMode.VERTEX:
                 bv, be = set(fault), frozenset()
@@ -406,8 +371,8 @@ def verify_ft_spanner(g, kept_ids, config, guard=10_000_000):
                 bv, be = set(), frozenset(fault)
                 survivors = list(range(n))
             for i, u in enumerate(survivors):
-                dg = _dijkstra(n, g_adj, u, bv, be)
-                dh = _dijkstra(n, h_adj, u, bv, be)
+                dg = _dijkstra(g_adj, u, bv, be)
+                dh = _dijkstra(h_adj, u, bv, be)
                 for v in survivors[i + 1 :]:
                     if v not in dg:
                         continue

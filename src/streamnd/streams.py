@@ -61,19 +61,13 @@ class EdgeStream:
     def __init__(self, n, items):
         self.n = n
         self._items = list(items)
-        self.position = 0
         self._consumed = False
-
-    def __len__(self):
-        return len(self._items)
 
     def __iter__(self):
         if self._consumed:
             raise RuntimeError("single-pass stream cannot be replayed")
         self._consumed = True
-        for item in self._items:
-            self.position += 1
-            yield item
+        yield from self._items
 
     @staticmethod
     def from_edges(n, edges, shuffle_seed=None):

@@ -87,6 +87,21 @@ def test_seed_flag_is_gone(tmp_path, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bench", "--suite", "mst", "--seed", "1..2"], "required: --seeds"),
+        (["bench", "--suite", "mst", "--seeds", "1..2", "--ep", "1/3"], "unrecognized arguments: --ep 1/3"),
+    ],
+    ids=["seed-for-seeds", "ep-for-eps"],
+)
+def test_option_prefixes_are_not_expanded(argv, message):
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
 def test_large_vertex_fault_budget_needs_an_explicit_test(tmp_path):
     ring = "".join(f"{i} {(i + 1) % 13} 1\n" for i in range(13))
     graph = write(tmp_path / "ring.txt", f"13 13\n{ring}")

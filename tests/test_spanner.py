@@ -259,8 +259,9 @@ def test_kept_ids_pinned(name):
 
 
 # ---------------------------------------------------------------------------
-# The addition test as it was before the shortcut-first order, the bounded
-# candidate BFS and the stamped hop BFS: the reference for the current code.
+# The addition test as it was before the shortcut-first order, the stamped
+# hop BFS and the branching on one short path: the reference for the current
+# code.
 
 
 class _RefHopGraph:
@@ -441,13 +442,45 @@ def test_exact_matches_reference_on_seeded_multigraphs():
         u, v = rng.sample(range(n), 2)
         ref, new = _both_graphs(n, _random_multigraph(rng, n, u, v))
         mode = rng.choice((VF, EF))
-        f = rng.randint(0, 3)
+        f = rng.randint(0, 5)
         threshold = rng.choice((1, 3, 5))
         want = _ref_ft_test_exact(ref, u, v, f, threshold, mode)
         assert ft_test_exact(new, u, v, f, threshold, mode) == want, (ref.edges, u, v, mode, f, threshold)
         verdicts.add((mode, f, threshold, want))
     # every (mode, f, threshold) occurs with both verdicts
-    assert len(verdicts) == 2 * 4 * 3 * 2, sorted(verdicts)
+    assert len(verdicts) == 2 * 6 * 3 * 2, sorted(verdicts)
+
+
+class _CountingHopGraph(HopGraph):
+    """Counts hop queries; `within_hops` goes through `short_path`."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.queries = 0
+
+    def short_path(self, *args):
+        self.queries += 1
+        return super().short_path(*args)
+
+
+def test_exact_hop_queries_are_bounded_by_path_branching():
+    # f+1 peeling queries, then one query per node of a search tree that
+    # branches on the L elements of one short path: L = threshold edges in
+    # edge mode, threshold - 1 inner vertices in vertex mode
+    rng = random.Random(6)
+    for _ in range(3000):
+        n = rng.randint(4, 12)
+        u, v = rng.sample(range(n), 2)
+        h = _CountingHopGraph(n)
+        for a, b in _random_multigraph(rng, n, u, v):
+            h.add_edge(a, b)
+        mode = rng.choice((VF, EF))
+        f = rng.randint(0, 4)
+        threshold = rng.choice((1, 3, 5))
+        branch = threshold if mode is EF else threshold - 1
+        ft_test_exact(h, u, v, f, threshold, mode)
+        bound = (f + 1) + sum(branch**i for i in range(f + 1))
+        assert h.queries <= bound, (h.edges, u, v, mode, f, threshold, h.queries)
 
 
 def test_short_path_matches_reference_under_bans():
