@@ -18,7 +18,7 @@ from itertools import chain
 from .errors import InfeasibleError
 from .framework import exact_solve
 from .graph import ConnectivityMode, Graph, RequirementMap, tree_in_subtree, tree_lca
-from .streams import StreamingMst
+from .streams import StreamingMst, item_bucket
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ class Cap1State:
         state = Cap1State(tree, scheme)
         for eid in extras:
             u, v, _ = g.edges[eid]
-            state._ingest(u, v, 0, synthetic=True)
+            state._ingest(u, v, 0, 0, synthetic=True)
         return state
 
     def _mst_for(self, x):
@@ -189,13 +189,12 @@ class Cap1State:
             mst = self._msts[x] = StreamingMst(self.tree.children[x])
         return mst
 
-    def _ingest(self, u, v, w, synthetic):
+    def _ingest(self, u, v, w, j, synthetic):
         rec = LinkRec(u, v, w, self._next_lid, synthetic)
         self._next_lid += 1
         if u == v:
             return
         tree = self.tree
-        j = self.scheme.bucket_of(w)
         anchor = tree.lca(u, v)
         for x in (u, v):
             key = (x, j)
@@ -213,7 +212,8 @@ class Cap1State:
                 self._mst_for(anchor).insert(a, b, w, payload=rec)
 
     def process_link(self, u, v, w):
-        self._ingest(u, v, w, synthetic=False)
+        j = item_bucket(self.tree.n, self.scheme, u, v, w)
+        self._ingest(u, v, w, j, synthetic=False)
 
     def stored_links(self):
         """The retained link set F, deduplicated, in arrival order."""

@@ -20,7 +20,7 @@ from .cap1 import LinkRec, contracted_mst_links, solve_retained, unique_links
 from .framework import exact_solve  # noqa: F401
 from .graph import ConnectivityMode, _biconnected, is_k_connected
 from .spqr import VIRTUAL, build_spqr
-from .streams import StreamingMst
+from .streams import StreamingMst, item_bucket
 
 
 class _SNodeData:
@@ -111,7 +111,7 @@ class Cap2State:
                         smap[vert] = child
                 self._pnodes[node.nid] = (smap, StreamingMst(tree.children[node.nid]))
         for u, v, _ in removed:
-            self._ingest(u, v, 0, synthetic=True)
+            self._ingest(u, v, 0, 0, synthetic=True)
 
     @staticmethod
     def from_base(g, scheme):
@@ -149,13 +149,12 @@ class Cap2State:
         if other_pos > slot[1][1]:
             slot[1] = (rec, other_pos)
 
-    def _ingest(self, u, v, w, synthetic):
+    def _ingest(self, u, v, w, j, synthetic):
         rec = LinkRec(u, v, w, self._next_lid, synthetic)
         self._next_lid += 1
         if u == v:
             return
         tree = self.tree
-        j = self.scheme.bucket_of(w)
         for a, b in ((u, v), (v, u)):
             x = tree.h_map[a]
             key = tree.depth[tree.lca(x, tree.l_map[b])]
@@ -172,7 +171,8 @@ class Cap2State:
             self._update_minmax(nid, pv, j, rec, data.pos[pu])
 
     def process_link(self, u, v, w):
-        self._ingest(u, v, w, synthetic=False)
+        j = item_bucket(self.base.n, self.scheme, u, v, w)
+        self._ingest(u, v, w, j, synthetic=False)
 
     # -- accounting
 

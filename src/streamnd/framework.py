@@ -100,28 +100,29 @@ def exact_solve(g, req, mode, fixed=(), max_branch_edges=40):
     if not feasible(base_ids + free):
         raise InfeasibleError("no feasible edge subset exists in this graph")
 
-    best = [None, None]
-
-    def rec(i, chosen, weight, rest_known_good):
-        if best[0] is not None and weight >= best[0]:
-            return
+    # depth-first over (next index, chosen ids, weight, whether chosen plus
+    # free[i:] is known feasible), exclude branch before include branch
+    best_weight, best_ids = None, None
+    stack = [(0, [], fixed_weight, True)]
+    while stack:
+        i, chosen, weight, rest_known_good = stack.pop()
+        if best_weight is not None and weight >= best_weight:
+            continue
         if feasible(base_ids + chosen):
-            best[0] = weight
-            best[1] = sorted(base_ids + chosen)
-            return
+            best_weight, best_ids = weight, sorted(base_ids + chosen)
+            continue
         if i == len(free):
-            return
+            continue
         # the include branch keeps chosen+rest identical to this node's, so
         # only the exclude branch has to re-prove the remainder feasible
         if not rest_known_good and not feasible(base_ids + chosen + free[i:]):
-            return
-        rec(i + 1, chosen, weight, False)
-        rec(i + 1, chosen + [free[i]], weight + weights[i], True)
+            continue
+        stack.append((i + 1, chosen + [free[i]], weight + weights[i], True))
+        stack.append((i + 1, chosen, weight, False))
 
-    rec(0, [], fixed_weight, True)
-    if best[0] is None:
+    if best_weight is None:
         raise InfeasibleError("no feasible edge subset exists in this graph")
-    return tuple(best[1]), best[0]
+    return tuple(best_ids), best_weight
 
 
 @dataclass(frozen=True)

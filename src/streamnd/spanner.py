@@ -20,7 +20,7 @@ from math import comb
 
 from .errors import ContractViolationError, ResourceLimitError
 from .graph import Graph
-from .streams import BucketScheme
+from .streams import BucketScheme, item_bucket
 
 
 class FaultMode(Enum):
@@ -244,14 +244,12 @@ class FtSpannerState:
 
     def process_edge(self, u, v, w):
         """Run the configured addition test; keep and return True iff it passes."""
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
+        j = item_bucket(self.n, self.scheme, u, v, w)
         if u == v:
             raise ValueError(f"self-loop at vertex {u} cannot be a spanner edge")
         cfg = self.config
         idx = self._index
         self._index += 1
-        j = self.scheme.bucket_of(w)
         h = self.bucket(j)
         if cfg.test_kind is TestKind.EXACT:
             keep = ft_test_exact(h, u, v, cfg.f, cfg.threshold, cfg.mode)

@@ -280,7 +280,10 @@ def _split_components(edges):
     vmap = {}  # vid -> [nid, nid]
     next_nid = count()
 
-    def recurse(edges):
+    # depth-first, the side split off a pair before the rest of the skeleton
+    stack = [edges]
+    while stack:
+        edges = stack.pop()
         pairs = [(e.u, e.v) for e in edges]
         verts = sorted({x for p in pairs for x in p})
         hit = None if _is_cycle(verts, edges) else _find_pair(verts, pairs)
@@ -290,15 +293,13 @@ def _split_components(edges):
             for e in edges:
                 if e.kind == VIRTUAL:
                     vmap.setdefault(e.ref, []).append(nid)
-            return
+            continue
         a, b, classes = hit
         side = set(_choose_side(classes))
         vid = next(vid_counter)
         virt = SkelEdge(a, b, VIRTUAL, vid)
-        recurse([e for i, e in enumerate(edges) if i in side] + [virt])
-        recurse([e for i, e in enumerate(edges) if i not in side] + [virt])
-
-    recurse(edges)
+        stack.append([e for i, e in enumerate(edges) if i not in side] + [virt])
+        stack.append([e for i, e in enumerate(edges) if i in side] + [virt])
     return skeletons, vmap
 
 

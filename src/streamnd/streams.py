@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -13,8 +14,12 @@ class BucketScheme:
     """Geometric weight classes: bucket 0 holds weight 0, bucket i >= 1 holds
     weights in [(1+eps)^(i-1), (1+eps)^i).
 
-    Boundaries are evaluated in exact rational arithmetic, so integer weights
-    never straddle a bucket edge due to float rounding.
+    Weights are integers, so the classes are kept as an integer cut table:
+    `_cuts[i] = ceil((1+eps)^i)`, computed as (p+q)^i / q^i rounded up for
+    eps = p/q.  An integer w is below (1+eps)^i exactly when it is below
+    that ceiling, so `bucket_of` is one bisection with no rounding anywhere.
+    `_cuts[0] = 1` is where bucket 1 starts, which leaves weight 0 in bucket
+    0.  A weight that is not an int raises ValueError.
     """
 
     def __init__(self, eps, max_weight):
@@ -24,35 +29,43 @@ class BucketScheme:
         if max_weight < 0:
             raise ValueError("max weight must be nonnegative")
         self.max_weight = int(max_weight)
-        # upper boundaries of buckets 1.. covering weights up to max_weight
-        self._uppers = []
-        hi = 1 + self.eps
-        while self.max_weight >= 1 and hi <= self.max_weight:
-            self._uppers.append(hi)
-            hi *= 1 + self.eps
-        self._uppers.append(hi)
+        # lower ends of buckets 1, 2, ... up to the first one past max_weight
+        step_num = self.eps.numerator + self.eps.denominator
+        step_den = self.eps.denominator
+        num, den = 1, 1
+        self._cuts = [1]
+        while self._cuts[-1] <= self.max_weight:
+            num *= step_num
+            den *= step_den
+            self._cuts.append(-(-num // den))
 
     def bucket_of(self, w):
+        if not isinstance(w, int):
+            raise ValueError(f"weight {w!r} is not an integer")
         if w < 0 or w > self.max_weight:
             raise ValueError(f"weight {w} outside [0, {self.max_weight}]")
-        if w == 0:
-            return 0
-        for i, hi in enumerate(self._uppers, start=1):
-            if w < hi:
-                return i
-        raise AssertionError("bucket table does not cover the weight range")
+        return bisect_right(self._cuts, w)
 
     def bucket_count(self):
-        """Number of distinct buckets for weights in {0, ..., max_weight}."""
-        if self.max_weight == 0:
-            return 1
-        return self.bucket_of(self.max_weight) + 1
+        """Number of distinct buckets for weights in {0, ..., max_weight}:
+        bucket 0 plus one per cut at or below max_weight."""
+        return len(self._cuts)
 
     def bounds(self, i):
         """Half-open weight interval [lo, hi) of bucket i (exact Fractions)."""
         if i == 0:
             return Fraction(0), Fraction(0)
         return (1 + self.eps) ** (i - 1), (1 + self.eps) ** i
+
+
+def item_bucket(n, scheme, u, v, w):
+    """Weight bucket of a stream item (u, v, w), or ValueError for an
+    endpoint that is not an int in 0..n-1 or a weight `scheme` does not
+    cover.  The state machines check each item this way before it takes a
+    stream position."""
+    if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u!r},{v!r}) out of range for n={n}")
+    return scheme.bucket_of(w)
 
 
 class EdgeStream:

@@ -91,6 +91,29 @@ def test_equal_lca_depth_keeps_first_stored():
     assert state._dict[(1, j)].triple() == (1, 2, 1)
 
 
+BAD_LINKS = (
+    (-1, 2, 1),  # negative endpoint, not vertex n-1
+    (0, 99, 1),
+    (0, 3, 1),  # n = 3
+    (1.0, 2, 1),
+    (0, 2, 9),  # max_weight 4
+    (0, 2, -1),
+    (0, 2, 2.5),
+    (0, 2, Fraction(3, 2)),
+)
+
+
+@pytest.mark.parametrize("link", BAD_LINKS, ids=str)
+def test_process_link_rejects_bad_links_before_the_stream_moves(link):
+    chain = Graph.build(3, [(0, 1), (1, 2)])
+    state = Cap1State.from_base(chain, BucketScheme(HALF, 4))
+    with pytest.raises(ValueError):
+        state.process_link(*link)
+    assert state._next_lid == 0 and not state._dict and not state._msts
+    state.process_link(0, 2, 3)
+    assert [r.lid for r in state.stored_links()] == [0]
+
+
 def test_chain_single_link_solution():
     chain = Graph.build(3, [(0, 1), (1, 2)])
     state = Cap1State.from_base(chain, BucketScheme(HALF, 4))

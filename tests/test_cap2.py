@@ -158,6 +158,22 @@ def test_finalize_c4_needs_both_diagonals():
     assert res.weight == 2
 
 
+@pytest.mark.parametrize(
+    "link",
+    [(-1, 2, 1), (0, 99, 1), (0, 4, 1), (1.0, 3, 1)]  # n = 4
+    + [(0, 2, 9), (0, 2, -1), (0, 2, 2.5)],  # max_weight 4
+    ids=str,
+)
+def test_process_link_rejects_bad_links_before_the_stream_moves(link):
+    state = Cap2State.from_base(cycle(4), scheme())
+    with pytest.raises(ValueError):
+        state.process_link(*link)
+    assert state._next_lid == 0 and state.stored_links() == ()
+    state.process_link(0, 2, 1)
+    state.process_link(1, 3, 1)
+    assert [r.lid for r in state.finalize().solution] == [0, 1]
+
+
 def test_finalize_k4_base_is_free():
     k4 = Graph.build(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     res = Cap2State.from_base(k4, scheme()).finalize()

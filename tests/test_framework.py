@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -5,19 +6,26 @@ import pytest
 
 from streamnd import (
     Analysis,
+    BucketScheme,
+    Cap1State,
+    Cap2State,
     ConnectivityMode,
     EdgeStream,
+    Family,
     FrameworkConfig,
     Graph,
+    InstanceGenerator,
     RequirementMap,
+    build_spqr,
     check_feasible,
     exact_solve,
+    generate,
     pair_connectivity,
     run_framework,
 )
 from streamnd.errors import InfeasibleError, ResourceLimitError
 
-from conftest import seeded_graph
+from conftest import seeded_graph, seeded_two_connected
 
 V, E, EL = ConnectivityMode.VERTEX, ConnectivityMode.EDGE, ConnectivityMode.ELEMENT
 
@@ -136,3 +144,32 @@ def test_framework_feasibility_transfer():
         sol = Graph.build(g.n, res.solution)
         assert check_feasible(sol, req, V)
         assert res.stored_edges <= len(g.edges)
+
+
+def test_solves_leave_no_reference_cycles():
+    """Each solve's graph, requirement map and memo sets are freed by
+    reference counting alone, with nothing left for the cyclic collector."""
+    g = seeded_graph(3, 8, p=0.6, wmax=5)
+    spqr_base = seeded_two_connected(2, 10)
+    cap_ops = []
+    for state_cls, family in (
+        (Cap1State, Family.TREE),
+        (Cap2State, Family.TWO_CONNECTED),
+    ):
+        gen = InstanceGenerator(
+            seed=1, family=family, n=8, chords=2, link_count=4, max_links=12
+        )
+        cap_ops.append((state_cls, generate(gen)))
+    gc.collect()
+    gc.disable()
+    try:
+        exact_solve(g, RequirementMap.uniform(8, 2), V)
+        build_spqr(spqr_base)
+        for state_cls, inst in cap_ops:
+            state = state_cls.from_base(inst.base, BucketScheme(Fraction(1, 2), 8))
+            for link in inst.links:
+                state.process_link(*link)
+            state.finalize()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

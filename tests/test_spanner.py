@@ -218,13 +218,23 @@ def test_process_edge_rejects_bad_endpoints_before_indexing():
     ):
         state = FtSpannerState(3, FtConfig(f=1, t=2, mode=mode, test_kind=test_kind), 1)
         assert state.process_edge(0, 1, 1)
-        for u, v in ((0, 7), (3, 1), (-1, 2), (1, 1)):
+        for u, v in ((0, 7), (3, 1), (-1, 2), (1, 1), (0, 1.5)):
             with pytest.raises(ValueError):
                 state.process_edge(u, v, 1)
         assert state.kept_ids() == (0,) and not state.rejected
         # the stream position did not advance on the refused edges
         assert state.process_edge(1, 2, 1)
         assert state.kept_ids() == (0, 1)
+
+
+def test_process_edge_rejects_bad_weights_before_indexing():
+    state = FtSpannerState(3, FtConfig(f=1, t=2, mode=VF, test_kind=TestKind.EXACT), 4)
+    for w in (9, -1, 2.5, Fraction(3, 2)):
+        with pytest.raises(ValueError):
+            state.process_edge(0, 1, w)
+    # the stream position did not advance on the refused edges
+    assert state.process_edge(0, 1, 4)
+    assert state.kept_ids() == (0,) and not state.rejected
 
 
 def test_self_query_is_a_zero_hop_path():

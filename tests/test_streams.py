@@ -51,6 +51,69 @@ def test_every_weight_maps_to_one_bucket():
         assert 0 <= scheme.bucket_of(w) < count
 
 
+class FractionScanBuckets:
+    """The bucket lookup the integer cut table replaced, kept as its
+    reference: a linear scan over exact Fraction upper boundaries."""
+
+    def __init__(self, eps, max_weight):
+        self.eps = Fraction(eps)
+        self.max_weight = int(max_weight)
+        self._uppers = []
+        hi = 1 + self.eps
+        while self.max_weight >= 1 and hi <= self.max_weight:
+            self._uppers.append(hi)
+            hi *= 1 + self.eps
+        self._uppers.append(hi)
+
+    def bucket_of(self, w):
+        if w == 0:
+            return 0
+        for i, hi in enumerate(self._uppers, start=1):
+            if w < hi:
+                return i
+        raise AssertionError("bucket table does not cover the weight range")
+
+    def bucket_count(self):
+        if self.max_weight == 0:
+            return 1
+        return self.bucket_of(self.max_weight) + 1
+
+
+DIFF_EPS = (
+    Fraction(1, 3),
+    Fraction(1, 2),
+    Fraction(2, 7),
+    Fraction(1, 10),
+    1,
+    2,
+    0.1,
+    0.25,
+    Fraction(5, 3),
+    Fraction(1, 100),
+)
+
+
+@pytest.mark.parametrize("eps", DIFF_EPS, ids=str)
+def test_cut_table_matches_fraction_scan(eps):
+    ref = FractionScanBuckets(eps, 5000)
+    expected = [ref.bucket_of(w) for w in range(5001)]
+    scheme = BucketScheme(eps, 5000)
+    assert [scheme.bucket_of(w) for w in range(5001)] == expected
+    # the old table for a smaller max_weight was a prefix of this one, so
+    # its bucket_count was expected[max_weight] + 1
+    for max_weight in range(5001):
+        small = BucketScheme(eps, max_weight)
+        assert small.bucket_of(max_weight) == expected[max_weight], max_weight
+        assert small.bucket_count() == expected[max_weight] + 1, max_weight
+    assert FractionScanBuckets(eps, 0).bucket_count() == 1
+
+
+@pytest.mark.parametrize("w", [2.5, Fraction(3, 2), "3", 3.0, None], ids=repr)
+def test_bucket_rejects_non_int_weight(w):
+    with pytest.raises(ValueError):
+        BucketScheme(Fraction(1, 2), 8).bucket_of(w)
+
+
 def test_mst_triangle_any_order():
     for order in ((1, 2, 3), (3, 2, 1), (2, 3, 1)):
         mst = StreamingMst(range(3))
