@@ -57,8 +57,8 @@ class Graph:
                 u, v, w = e[0], e[1], 1
             else:
                 u, v, w = e
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u!r},{v!r}) out of range for n={n}")
             if not isinstance(w, int) or w < 0:
                 raise ValueError(f"edge ({u},{v}) has invalid weight {w!r}")
             if u == v:
@@ -245,8 +245,9 @@ def _uniform_level(n, needed):
 
 
 class _FlowNet:
-    """Flat-array residual network with unit capacities; reverse arcs pair up
-    at index ^1, and capacities can be reset for repeated pair queries."""
+    """Flat-array residual network with integer capacities, augmented one
+    unit per BFS path; reverse arcs pair up at index ^1, and capacities can
+    be reset for repeated pair queries."""
 
     def __init__(self, size):
         self.to = []

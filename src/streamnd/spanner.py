@@ -3,15 +3,19 @@
 Each weight bucket holds an independent unweighted spanner: an arriving edge
 is kept iff removing some small set of vertices (or edges) from the bucket
 spanner would push its endpoints further apart than the hop threshold 2t-1.
-Two addition tests are provided: an exhaustive one for either fault mode,
-and a path-peeling one for edge faults.  The exhaustive one peels disjoint
-short paths first, then branches on the vertices or edges of one surviving
-short path at a time; every hop query is one bounded `HopGraph.short_path`.
+Two addition tests are provided: an exact one for either fault mode, and a
+path-peeling one for edge faults.  The exact one peels disjoint short paths
+first.  When that does not decide, at threshold 3 (t = 2) it computes the
+smallest cut of the u-v paths of at most 3 hops as one max-flow stopped at
+f+1; at any other threshold it branches on the vertices or edges of one
+surviving short path at a time.  Every hop query is one bounded
+`HopGraph.short_path`.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -19,7 +23,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import ContractViolationError, ResourceLimitError
-from .graph import Graph
+from .graph import Graph, _FlowNet
 from .streams import BucketScheme, item_bucket
 
 
@@ -41,8 +45,10 @@ class FtConfig:
 
     The per-bucket hop threshold is 2t-1; with bucketing eps the whole
     spanner has weighted stretch (1+eps)(2t-1).  test_kind None lets the
-    builder pick the exhaustive test for f <= 3 or n <= 12; beyond that the
-    caller must choose a test explicitly.
+    builder pick the exact test for t <= 2, where it is polynomial (one
+    max-flow at t = 2, a single branch per fault at t = 1), and for t >= 3
+    when f <= 3 or n <= 12; beyond that the caller must choose a test
+    explicitly.
     """
 
     f: int
@@ -160,22 +166,75 @@ def _greedy_disjoint_short_paths(h, u, v, threshold, mode, want):
 
 
 def ft_test_exact(h, u, v, f, t_threshold, mode):
-    """Exhaustive addition test: is there a fault set of size at most f whose
+    """Exact addition test: is there a fault set of size at most f whose
     removal pushes u and v more than t_threshold hops apart?
 
     Peel up to f+1 disjoint short paths first (none: u and v are far, keep;
-    more than f: no fault set cuts them all, reject).  Otherwise branch on
-    the elements of one surviving short path: every cutting fault set hits
-    it, so at most sum_{i<=f} L^i further hop queries settle the verdict,
-    where a path has L <= t_threshold - 1 inner vertices (vertex mode) or
-    L <= t_threshold edges (edge mode)."""
+    more than f: no fault set cuts them all, reject).  Otherwise, at
+    threshold 3, one max-flow stopped at f+1 gives the smallest cut
+    (`_three_hop_cut_fits`, no hop queries).  At any other threshold, branch
+    on the elements of one surviving short path: every cutting fault set
+    hits it, so at most sum_{i<=f} L^i further hop queries settle the
+    verdict, where a path has L <= t_threshold - 1 inner vertices (vertex
+    mode) or L <= t_threshold edges (edge mode); length-bounded cuts are
+    NP-hard from 4 hops (edge faults) and 5 hops (vertex faults)."""
     h = HopGraph.of(h)
     found = len(_greedy_disjoint_short_paths(h, u, v, t_threshold, mode, f + 1))
     if found == 0:
         return True
     if f == 0 or found > f:
         return False
+    if t_threshold == 3:
+        return _three_hop_cut_fits(h, u, v, f, mode)
     return _cut_exists(h, u, v, f, t_threshold, mode, (), ())
+
+
+def _three_hop_cut_fits(h, u, v, f, mode):
+    """True iff at most f faults leave no u-v path of at most 3 hops.
+
+    Such paths are u-v, u-x-v and u-a-b-v, so the smallest cut is a max-flow
+    (Baier et al., "Length-bounded cuts and flows", TALG 2010) on a network
+    s -> x1 -> y2 -> t over the neighbours x of u and y of v.  Capacities
+    count edges: s -> x1 the u-x edges, y2 -> t the y-v edges, a1 -> b2 the
+    a-b edges, s -> t the u-v edges; x1 -> x2 for a common neighbour x is
+    uncuttable (f+1).  An edge a-b between two common neighbours yields
+    both a1 -> b2 and b1 -> a2, but a cut of u-a-v leaves a1 unreachable or
+    a2 a dead end, so the cut never pays for it twice.
+    In vertex mode a u-v edge cannot be cut and every common neighbour must
+    be; what remains is a bipartite vertex cover between the private
+    neighbours of u and of v, which is the same network with unit arcs
+    (Koenig)."""
+    adj = h.adj
+    cu = Counter(x for x, _ in adj[u])
+    cv = Counter(y for y, _ in adj[v])
+    direct = cu.pop(v, 0)
+    cv.pop(u, 0)
+    cu.pop(u, 0)  # self-loops lie on no path
+    cv.pop(v, 0)
+    common = cu.keys() & cv.keys()
+    if mode is FaultMode.VERTEX:
+        if direct or len(common) > f:
+            return False
+        f -= len(common)
+        cu = dict.fromkeys(cu.keys() - common, 1)
+        cv = dict.fromkeys(cv.keys() - common, 1)
+        common = ()
+    first = {x: 2 + i for i, x in enumerate(cu)}
+    second = {y: 2 + len(cu) + i for i, y in enumerate(cv)}
+    net = _FlowNet(2 + len(cu) + len(cv))
+    if direct:
+        net.add_arc(0, 1, direct)
+    for x, i in first.items():
+        net.add_arc(0, i, cu[x])
+    for y, i in second.items():
+        net.add_arc(i, 1, cv[y])
+    for x in common:
+        net.add_arc(first[x], second[x], f + 1)
+    for a, i in first.items():
+        for b, _ in adj[a]:
+            if b in second:
+                net.add_arc(i, second[b], 1)
+    return net.max_flow(0, 1, f + 1) <= f
 
 
 def _cut_exists(h, u, v, budget, threshold, mode, bv, be):
@@ -219,12 +278,13 @@ class FtSpannerState:
 
     def __init__(self, n, config, max_weight):
         if config.test_kind is None:
-            if config.f <= 3 or n <= 12:
+            if config.t <= 2 or config.f <= 3 or n <= 12:
                 config = replace(config, test_kind=TestKind.EXACT)
             else:
                 raise ValueError(
-                    "exhaustive test would be too slow here; pass TestKind.EXACT, "
-                    "or TestKind.PEELING_EFT for edge faults, explicitly "
+                    "for t >= 3, f > 3 and n > 12 the exact test branches over up "
+                    "to (2t-1)^f fault sets; pass TestKind.EXACT, or "
+                    "TestKind.PEELING_EFT for edge faults, explicitly "
                     "(--test exact|peeling)"
                 )
         self.n = n

@@ -107,7 +107,7 @@ def test_large_vertex_fault_budget_needs_an_explicit_test(tmp_path):
     graph = write(tmp_path / "ring.txt", f"13 13\n{ring}")
     out_path = tmp_path / "h.txt"
     code, out, err = run_cli(
-        ["spanner", "--mode", "vft", "--f", "4", "--t", "2", "--eps", "1/3",
+        ["spanner", "--mode", "vft", "--f", "4", "--t", "3", "--eps", "1/3",
          "-i", graph, "-o", str(out_path)]
     )
     assert code == 1
@@ -115,6 +115,21 @@ def test_large_vertex_fault_budget_needs_an_explicit_test(tmp_path):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "--test exact" in lines[0]
+
+
+def test_large_fault_budget_at_t2_picks_the_exact_test(tmp_path):
+    graph = tmp_path / "g24.txt"
+    gen = InstanceGenerator(seed=1, family=Family.GNP, n=24, edge_prob=0.5, weight_lo=1, weight_hi=1)
+    save_graph(generate(gen).base, graph)
+    out_path = tmp_path / "h.txt"
+    code, out, err = run_cli(
+        ["spanner", "--mode", "eft", "--f", "5", "--t", "2", "--eps", "1/3",
+         "--shuffle-seed", "1", "-i", str(graph), "-o", str(out_path)]
+    )
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["params"]["test"] == "exact"
+    assert out_path.exists()
 
 
 def test_sndp_with_oracle(tmp_path, c4_file):

@@ -281,6 +281,12 @@ def test_graph_normalization():
         Graph.build(2, [(0, 1, -1)])
 
 
+def test_graph_build_rejects_non_int_endpoints():
+    for e in ((0, 1.5, 1), (1.0, 2), ("0", 1)):
+        with pytest.raises(ValueError):
+            Graph.build(3, [e])
+
+
 def test_requirement_map_rules():
     with pytest.raises(ValueError):
         RequirementMap.from_pairs([(1, 1, 2)])

@@ -18,7 +18,12 @@ from streamnd import (
     verify_ft_spanner,
 )
 from streamnd.errors import ContractViolationError, ResourceLimitError
-from streamnd.spanner import HopGraph
+from streamnd.spanner import (
+    HopGraph,
+    _cut_exists,
+    _greedy_disjoint_short_paths,
+    _three_hop_cut_fits,
+)
 
 from conftest import seeded_graph, short_digest
 
@@ -117,7 +122,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FtConfig(f=1, t=2, mode=VF, test_kind=TestKind.PEELING_EFT)
     with pytest.raises(ValueError):
-        FtSpannerState(40, FtConfig(f=5, t=2, mode=VF), 1)
+        FtSpannerState(40, FtConfig(f=5, t=3, mode=VF), 1)
+    # at t <= 2 the exact test is polynomial, so it is picked for any f and n
+    for t in (1, 2):
+        state = FtSpannerState(40, FtConfig(f=9, t=t, mode=VF), 1)
+        assert state.config.test_kind is TestKind.EXACT
 
 
 def test_process_edge_threshold_one_is_plain_adjacency():
@@ -474,9 +483,10 @@ class _CountingHopGraph(HopGraph):
 
 
 def test_exact_hop_queries_are_bounded_by_path_branching():
-    # f+1 peeling queries, then one query per node of a search tree that
-    # branches on the L elements of one short path: L = threshold edges in
-    # edge mode, threshold - 1 inner vertices in vertex mode
+    # f+1 peeling queries, then (except at threshold 3) one query per node of
+    # a search tree that branches on the L elements of one short path:
+    # L = threshold edges in edge mode, threshold - 1 inner vertices in
+    # vertex mode
     rng = random.Random(6)
     for _ in range(3000):
         n = rng.randint(4, 12)
@@ -489,7 +499,10 @@ def test_exact_hop_queries_are_bounded_by_path_branching():
         threshold = rng.choice((1, 3, 5))
         branch = threshold if mode is EF else threshold - 1
         ft_test_exact(h, u, v, f, threshold, mode)
-        bound = (f + 1) + sum(branch**i for i in range(f + 1))
+        if threshold == 3:  # the max-flow makes no hop query
+            bound = f + 1
+        else:
+            bound = (f + 1) + sum(branch**i for i in range(f + 1))
         assert h.queries <= bound, (h.edges, u, v, mode, f, threshold, h.queries)
 
 
@@ -524,3 +537,67 @@ def test_short_path_on_hop_graph_of_graph():
             for limit in (1, 2, 4):
                 assert h.short_path(x, y, limit) == ref.short_path(x, y, limit)
                 assert h.short_path(x, y, limit, [1], {0}) == ref.short_path(x, y, limit, [1], {0})
+
+
+# ---------------------------------------------------------------------------
+# Threshold 3: the max-flow against the fault branching it replaced there
+# (still the test at every other threshold) and the independent enumeration.
+
+
+def _branching_exact(h, u, v, f, threshold, mode):
+    found = len(_greedy_disjoint_short_paths(h, u, v, threshold, mode, f + 1))
+    if found == 0:
+        return True
+    if f == 0 or found > f:
+        return False
+    return _cut_exists(h, u, v, f, threshold, mode, (), ())
+
+
+def _three_hop_multigraph(rng, n, u, v):
+    """Middle vertices joined to u and to v at random, random middle edges,
+    many doubled, sometimes a self-loop, at most 14 of them, then 0-2
+    parallel u-v edges."""
+    mid = [x for x in range(n) if x not in (u, v)]
+    edges = [(x, end) for x in mid for end in (u, v) if rng.random() < 0.5]
+    if len(mid) > 1:
+        edges += [tuple(rng.sample(mid, 2)) for _ in range(rng.randint(0, n))]
+    edges += [e[::-1] for e in edges if rng.random() < 0.4]
+    if rng.random() < 0.3:
+        x = rng.choice((u, v, rng.randrange(n)))
+        edges.append((x, x))
+    rng.shuffle(edges)
+    return edges[:14] + [(u, v)] * rng.choice((0, 0, 1, 2))
+
+
+def test_three_hop_flow_matches_branching_and_enumeration():
+    # the flow alone decides every case, including those the disjoint-path
+    # shortcut settles before it in `ft_test_exact`
+    rng = random.Random(9)
+    verdicts = set()
+    for _ in range(500):
+        n = rng.randint(3, 8)
+        u, v = rng.sample(range(n), 2)
+        edges = _three_hop_multigraph(rng, n, u, v)
+        h = _hop(edges, n)
+        g = Graph.build(n, edges)
+        mode = rng.choice((VF, EF))
+        for f in range(10):
+            want = _naive_exact(g, u, v, f, 3, mode)
+            case = (edges, u, v, mode, f)
+            assert ft_test_exact(h, u, v, f, 3, mode) == want, case
+            assert _branching_exact(h, u, v, f, 3, mode) == want, case
+            assert _three_hop_cut_fits(h, u, v, f, mode) == want, case
+            verdicts.add((mode, want))
+    assert verdicts == {(m, k) for m in (VF, EF) for k in (True, False)}
+
+
+def test_three_hop_flow_counts_an_edge_between_common_neighbours_once():
+    # u=0, v=1, common neighbours a=2, b=3 joined by an edge: the network has
+    # both 2 -> 3 and 3 -> 2 arcs for it, yet the smallest edge cut is 2
+    edges = [(0, 2), (0, 3), (2, 1), (3, 1), (2, 3)]
+    h = _hop(edges, 4)
+    assert not _three_hop_cut_fits(h, 0, 1, 1, EF)
+    assert _three_hop_cut_fits(h, 0, 1, 2, EF)
+    for f in (1, 2):
+        want = _naive_exact(Graph.build(4, edges), 0, 1, f, 3, EF)
+        assert ft_test_exact(h, 0, 1, f, 3, EF) == want == (f == 2)
