@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .errors import InfeasibleError
 from .framework import exact_solve
@@ -92,8 +93,10 @@ class RootedTree:
         return u
 
 
-@dataclass(frozen=True)
-class LinkRec:
+class LinkRec(NamedTuple):
+    """One streamed link with its arrival id; an immutable NamedTuple because
+    one is built per link."""
+
     u: int
     v: int
     w: int
@@ -241,7 +244,7 @@ class Cap1State:
         covered by the optimum contracted together.  Test oracle only."""
         tree = self.tree
         picked = []
-        opt = [link if isinstance(link, tuple) else link.triple() for link in opt]
+        opt = [link.triple() if isinstance(link, LinkRec) else link for link in opt]
         for u, v, w in opt:
             j = self.scheme.bucket_of(w)
             for x in (u, v):

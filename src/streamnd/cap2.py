@@ -217,7 +217,7 @@ class Cap2State:
                 )
             return slot[0][0] if which == "min" else slot[1][0]
 
-        opt = [link if isinstance(link, tuple) else link.triple() for link in opt]
+        opt = [link.triple() if isinstance(link, LinkRec) else link for link in opt]
         for u, v, w in opt:
             j = self.scheme.bucket_of(w)
             for a, b in ((u, v), (v, u)):

@@ -21,6 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .errors import ContractViolationError, ResourceLimitError
 from .graph import Graph, _FlowNet
@@ -264,8 +265,10 @@ def ft_test_peeling_eft(h, u, v, f, t_threshold):
     return len(_greedy_disjoint_short_paths(h, u, v, t_threshold, FaultMode.EDGE, f + 1)) <= f
 
 
-@dataclass(frozen=True)
-class KeptEdge:
+class KeptEdge(NamedTuple):
+    """One streamed edge with its position and bucket; an immutable NamedTuple
+    because one is built per stream item."""
+
     stream_index: int
     u: int
     v: int

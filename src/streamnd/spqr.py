@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import count
+from typing import NamedTuple
 
 from .graph import (
     ConnectivityMode,
@@ -28,8 +29,10 @@ REAL = "real"
 VIRTUAL = "virtual"
 
 
-@dataclass(frozen=True)
-class SkelEdge:
+class SkelEdge(NamedTuple):
+    """One skeleton edge; an immutable NamedTuple because one is built per
+    graph edge and per split."""
+
     u: int
     v: int
     kind: str  # REAL or VIRTUAL

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graph import parse_graph_file
 
@@ -100,8 +100,10 @@ def open_stream(path, shuffle_seed=None):
     return EdgeStream.from_edges(n, edges, shuffle_seed=shuffle_seed)
 
 
-@dataclass(frozen=True)
-class MstEdge:
+class MstEdge(NamedTuple):
+    """One stored forest link; an immutable NamedTuple because one is built
+    per inserted link."""
+
     a: object
     b: object
     w: int

@@ -10,6 +10,7 @@ from streamnd import (
     Family,
     Graph,
     InstanceGenerator,
+    LinkRec,
     RequirementMap,
     RootedTree,
     brute_optimal,
@@ -171,6 +172,25 @@ def test_sol_from_opt_trivial_and_chain():
     sol = state.sol_from_opt([(0, 2, 3)])
     j = state.scheme.bucket_of(3)
     assert state._dict[(0, j)] in sol and state._dict[(2, j)] in sol
+
+
+def test_sol_from_opt_reads_records_and_triples_alike():
+    # a LinkRec is a tuple too; it must be read by field, not unpacked
+    for seed in range(6):
+        inst = generate(
+            InstanceGenerator(seed=seed, family=Family.TREE, n=8, link_count=4, max_links=12)
+        )
+        scheme = BucketScheme(HALF, max(w for _, _, w in inst.links))
+        state = Cap1State.from_base(inst.base, scheme)
+        for link in inst.links:
+            state.process_link(*link)
+        opt_ids, _ = brute_optimal(
+            inst.base, inst.links, RequirementMap.uniform(inst.base.n, 2), V
+        )
+        triples = [inst.links[i] for i in opt_ids]
+        recs = [LinkRec(u, v, w, i) for i, (u, v, w) in zip(opt_ids, triples)]
+        picks = state.sol_from_opt(triples)
+        assert picks and state.sol_from_opt(recs) == picks
 
 
 def test_corpus_bounds_and_mirror():

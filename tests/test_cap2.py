@@ -10,6 +10,7 @@ from streamnd import (
     Family,
     Graph,
     InstanceGenerator,
+    LinkRec,
     RequirementMap,
     brute_optimal,
     build_spqr,
@@ -201,6 +202,28 @@ def test_sol_from_opt_c4_diagonals():
     sol = state.sol_from_opt(opt)
     aug = Graph.build(4, list(cycle(4).edges) + [r.triple() for r in sol])
     assert is_k_connected(aug, 3, V)
+
+
+def test_sol_from_opt_reads_records_and_triples_alike():
+    # a LinkRec is a tuple too; it must be read by field, not unpacked
+    for seed in range(6):
+        inst = generate(
+            InstanceGenerator(
+                seed=seed, family=Family.TWO_CONNECTED, n=8, chords=2, link_count=3,
+                max_links=10,
+            )
+        )
+        scheme = BucketScheme(HALF, max(w for _, _, w in inst.links))
+        state = Cap2State.from_base(inst.base, scheme)
+        for link in inst.links:
+            state.process_link(*link)
+        opt_ids, _ = brute_optimal(
+            inst.base, inst.links, RequirementMap.uniform(inst.base.n, 3), V
+        )
+        triples = [inst.links[i] for i in opt_ids]
+        recs = [LinkRec(u, v, w, i) for i, (u, v, w) in zip(opt_ids, triples)]
+        picks = state.sol_from_opt(triples)
+        assert picks and state.sol_from_opt(recs) == picks
 
 
 def test_corpus_bounds_and_mirror():

@@ -7,6 +7,8 @@ import pytest
 from streamnd import Family, Graph, InstanceGenerator, generate, save_graph
 from streamnd.cli import main
 
+from conftest import short_digest
+
 
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -286,3 +288,22 @@ def test_bench_lines_are_json_and_deterministic():
     for line in lines:
         json.loads(line)
     assert json.loads(lines[-1])["max_ratio"] == 1.0
+
+
+# digests of the default `bench --seeds 1..10` output per suite; a speed change
+# must leave every line byte-identical
+BENCH_PINS = {
+    "spanner": "d4af68a7693b8b92",
+    "sndp": "f410f9055c594e2c",
+    "cap1": "0f593e597fcd9322",
+    "cap2": "6bbdca6981a0b259",
+    "mst": "e1280e26c54c5adc",
+    "menger": "86298fc60b884342",
+}
+
+
+@pytest.mark.parametrize("suite", BENCH_PINS)
+def test_default_bench_output_is_pinned(suite):
+    code, out, err = run_cli(["bench", "--suite", suite, "--seeds", "1..10"])
+    assert code == 0 and err == ""
+    assert short_digest(out) == BENCH_PINS[suite]
