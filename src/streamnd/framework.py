@@ -4,6 +4,7 @@ edges."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -62,9 +63,20 @@ def exact_solve(g, req, mode, fixed=(), max_branch_edges=40):
     """Minimum-weight feasible edge subset by branch and bound.
 
     Branching edges are ordered by decreasing weight; a branch is cut when it
-    cannot beat the incumbent, when it is already feasible (supersets cost at
-    least as much), or when even keeping every remaining edge is infeasible.
+    is already feasible (supersets cost at least as much), when even keeping
+    every remaining edge is infeasible, or when it cannot beat the incumbent.
     Edges in `fixed` are forced into every solution.
+
+    The incumbent test uses a degree lower bound.  Every disjoint path leaves
+    x on its own edge (in all three modes), so a solution gives x at least
+    need(x) = max_y r(x, y) incident edges.  If the fixed and chosen edges
+    give x only deg(x), x still needs d(x) = need(x) - deg(x) undecided edges,
+    costing at least c(x), the sum of its d(x) cheapest ones; an edge serves
+    two endpoints, so any completion adds at least ceil(sum_x c(x) / 2).  A
+    branch is cut when its weight plus that bound reaches the incumbent, or
+    when some x has fewer than d(x) undecided edges left.  A cut subtree holds
+    no solution strictly lighter than the incumbent, and only a strictly
+    lighter one replaces it, so the bound changes no result, only the work.
     """
     fixed = frozenset(fixed)
     free = [i for i in range(len(g.edges)) if i not in fixed]
@@ -100,6 +112,53 @@ def exact_solve(g, req, mode, fixed=(), max_branch_edges=40):
     if not feasible(base_ids + free):
         raise InfeasibleError("no feasible edge subset exists in this graph")
 
+    # degree bound tables, built after the call above has validated the
+    # nonzero entries of `req` (zero ones are never checked, so skip them):
+    # short[x] is need(x) minus x's fixed degree, pos_at[x] the positions in
+    # `free` of x's branching edges, cheapest_at[x][d] the sum of its d
+    # cheapest ones (they are the last d, as `free` is sorted heaviest first)
+    short = [0] * g.n
+    for u, v, r in req.pairs():
+        if r:
+            short[u] = max(short[u], r)
+            short[v] = max(short[v], r)
+    for i in fixed:
+        u, v, _ = g.edges[i]
+        short[u] -= 1
+        short[v] -= 1
+    needy = [x for x in range(g.n) if short[x] > 0]
+    pos_at = {x: [] for x in needy}
+    for p, i in enumerate(free):
+        u, v, _ = g.edges[i]
+        if u in pos_at:
+            pos_at[u].append(p)
+        if v in pos_at:
+            pos_at[v].append(p)
+    cheapest_at = {}
+    for x, pos in pos_at.items():
+        sums = [0]
+        for p in reversed(pos):
+            sums.append(sums[-1] + weights[p])
+        cheapest_at[x] = sums
+
+    def completion_bound(i, chosen):
+        """Least weight that any feasible completion of `chosen` by edges of
+        free[i:] adds, or None if no completion is feasible."""
+        left = short[:]
+        for e in chosen:
+            u, v, _ = g.edges[e]
+            left[u] -= 1
+            left[v] -= 1
+        total = 0
+        for x in needy:
+            d = left[x]
+            if d > 0:
+                pos = pos_at[x]
+                if len(pos) - bisect_left(pos, i) < d:
+                    return None
+                total += cheapest_at[x][d]
+        return (total + 1) // 2
+
     # depth-first over (next index, chosen ids, weight, whether chosen plus
     # free[i:] is known feasible), exclude branch before include branch
     best_weight, best_ids = None, None
@@ -107,6 +166,9 @@ def exact_solve(g, req, mode, fixed=(), max_branch_edges=40):
     while stack:
         i, chosen, weight, rest_known_good = stack.pop()
         if best_weight is not None and weight >= best_weight:
+            continue
+        extra = completion_bound(i, chosen)
+        if extra is None or (best_weight is not None and weight + extra >= best_weight):
             continue
         if feasible(base_ids + chosen):
             best_weight, best_ids = weight, sorted(base_ids + chosen)

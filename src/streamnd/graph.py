@@ -104,7 +104,7 @@ class RequirementMap:
         for u, v, r in pairs:
             if u == v:
                 raise ValueError(f"requirement on a single vertex {u} is undefined")
-            if r < 0 or not isinstance(r, int):
+            if not isinstance(r, int) or r < 0:
                 raise ValueError(f"requirement r({u},{v})={r!r} must be a nonnegative integer")
             key = (min(u, v), max(u, v))
             if key in seen and seen[key] != r:
@@ -115,6 +115,8 @@ class RequirementMap:
     @staticmethod
     def uniform(n, r):
         """r(uv) = r for every pair of distinct vertices."""
+        if not isinstance(r, int) or r < 0:
+            raise ValueError(f"uniform requirement {r!r} must be a nonnegative integer")
         return RequirementMap(
             tuple(((u, v), r) for u in range(n) for v in range(u + 1, n))
         )

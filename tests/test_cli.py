@@ -4,7 +4,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from streamnd import Family, Graph, InstanceGenerator, generate, save_graph
+from streamnd import Family, Graph, InstanceGenerator, framework, generate, save_graph
 from streamnd.cli import main
 
 from conftest import short_digest
@@ -307,3 +307,27 @@ def test_default_bench_output_is_pinned(suite):
     code, out, err = run_cli(["bench", "--suite", suite, "--seeds", "1..10"])
     assert code == 0 and err == ""
     assert short_digest(out) == BENCH_PINS[suite]
+
+
+# `check_feasible` calls made by `exact_solve` over `bench --seeds 1..10`
+# before its degree bound; the bound may only remove calls
+FEASIBLE_CALLS_BEFORE_BOUND = {"cap1": 260, "cap2": 210}
+
+
+def test_exact_solve_bound_saves_feasibility_calls(monkeypatch):
+    real = framework.check_feasible
+    calls = []
+
+    def counting(g, req, mode):
+        calls.append(1)
+        return real(g, req, mode)
+
+    monkeypatch.setattr(framework, "check_feasible", counting)
+    counts = {}
+    for suite in FEASIBLE_CALLS_BEFORE_BOUND:
+        calls.clear()
+        code, out, _ = run_cli(["bench", "--suite", suite, "--seeds", "1..10"])
+        assert code == 0 and short_digest(out) == BENCH_PINS[suite]
+        counts[suite] = len(calls)
+    assert counts["cap1"] < FEASIBLE_CALLS_BEFORE_BOUND["cap1"]
+    assert counts["cap2"] <= FEASIBLE_CALLS_BEFORE_BOUND["cap2"]

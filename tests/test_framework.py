@@ -25,7 +25,7 @@ from streamnd import (
 )
 from streamnd.errors import InfeasibleError, ResourceLimitError
 
-from conftest import seeded_graph, seeded_two_connected
+from conftest import seeded_graph, seeded_two_connected, short_digest
 
 V, E, EL = ConnectivityMode.VERTEX, ConnectivityMode.EDGE, ConnectivityMode.ELEMENT
 
@@ -98,6 +98,68 @@ def test_exact_solve_guard_and_fixed_edges():
     g = Graph.build(3, [(0, 1, 5), (1, 2, 5), (0, 2, 5)])
     ids, weight = exact_solve(g, RequirementMap.from_pairs([(0, 1, 1)]), E, fixed=[1])
     assert 1 in ids and weight == 10
+
+
+def solver_corpus(count):
+    """Seeded exact_solve instances: every mode, fixed edges, weight-0 and
+    parallel edges, uniform and pair maps (some r = 0), infeasible cases,
+    and up to 26 branching edges."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        mode = (V, E, EL)[seed % 3]
+        n = rng.randint(3, 10)
+        m = rng.randint(n + 1, min(26, 3 * n))
+        edges = [
+            (u, v, rng.choice((0, rng.randint(1, 9), rng.randint(1, 9))))
+            for u, v in (rng.sample(range(n), 2) for _ in range(m))
+        ]
+        reliable = [rng.random() < 0.7 for _ in range(n)] if mode is EL else None
+        g = Graph.build(n, edges, reliable)
+        fixed = rng.sample(range(m), rng.randint(0, m // 4)) if seed % 2 else ()
+        ends = [x for x in range(n) if g.reliable[x]]
+        if seed % 5 == 0 and len(ends) == n:
+            req = RequirementMap.uniform(n, rng.randint(1, 2))
+        else:
+            pairs = {}
+            for _ in range(rng.randint(1, 4)):
+                if len(ends) < 2:
+                    break
+                u, v = rng.sample(ends, 2)
+                pairs[(min(u, v), max(u, v))] = rng.choice((0, 1, 2, 2, 3))
+            req = RequirementMap.from_pairs([(u, v, r) for (u, v), r in pairs.items()])
+        yield g, req, mode, fixed
+
+
+def test_exact_solve_corpus_is_pinned():
+    # (ids, weight) per instance, digest recorded before the degree bound:
+    # pruning must change the work, never the answer or its tie-breaking
+    corpus = list(solver_corpus(300))
+    results = []
+    for g, req, mode, fixed in corpus:
+        try:
+            results.append(exact_solve(g, req, mode, fixed))
+        except InfeasibleError:
+            results.append("infeasible")
+    assert short_digest(results) == "c0b89fa35693dea2"
+    # the corpus reaches what the pin is meant to cover
+    solved = [r for r in results if r != "infeasible"]
+    assert 50 <= len(results) - len(solved) <= 150
+    assert any(len(set(g.edges)) < len(g.edges) for g, *_ in corpus)
+    assert any(w == 0 for g, *_ in corpus for _, _, w in g.edges)
+    assert max(len(g.edges) - len(set(fixed)) for g, _, _, fixed in corpus) >= 24
+
+
+def test_exact_solve_rejects_bad_maps_with_value_error():
+    g = Graph.build(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)], [True, False, True, True])
+    for mode in (V, E, EL):
+        with pytest.raises(ValueError):
+            exact_solve(g, RequirementMap.from_pairs([(0, 9, 1)]), mode)
+    with pytest.raises(ValueError):
+        exact_solve(g, RequirementMap.from_pairs([(0, 1, 1)]), EL)
+    with pytest.raises(ValueError):
+        exact_solve(g, RequirementMap.from_pairs([(0, 9, 1)]), E, fixed=[0])
+    # a zero requirement is never checked, so neither are its vertices
+    assert exact_solve(g, RequirementMap.from_pairs([(0, 1, 1), (0, 9, 0)]), E) == ((0,), 1)
 
 
 def test_framework_single_edge():

@@ -296,6 +296,17 @@ def test_requirement_map_rules():
     assert req.k == 3
     assert req.get(1, 2) == 3
     assert req.get(0, 2) == 0
+    assert RequirementMap.uniform(3, 0).k == 0
+
+
+@pytest.mark.parametrize("r", ["2", 1.5, None, -1])
+def test_requirement_values_must_be_nonnegative_ints(r):
+    # a non-int is rejected before it is compared with 0, so "2" and None
+    # raise ValueError, not TypeError
+    with pytest.raises(ValueError):
+        RequirementMap.from_pairs([(0, 1, r)])
+    with pytest.raises(ValueError):
+        RequirementMap.uniform(4, r)
 
 
 def test_graph_file_round_trip(tmp_path):
