@@ -31,7 +31,7 @@ inst = generate(
 print(f"base: {len(inst.base.edges)} edges on {inst.base.n} vertices")
 print(f"candidate links: {list(inst.links)}")
 
-scheme = BucketScheme(Fraction(1, 2), max(w for _, _, w in inst.links))
+scheme = BucketScheme(Fraction(1, 2))
 state = Cap2State.from_base(inst.base, scheme)
 print(f"edge-minimal core keeps {len(state.base.edges)} edges")
 print("skeleton kinds:", [node.kind for node in state.tree.nodes])

@@ -31,7 +31,7 @@ cfg = FrameworkConfig(t=2, mode=ConnectivityMode.VERTEX, analysis=Analysis.INTEG
 print(f"derived parameters: f={cfg.fault_budget(req.k)}, eps={cfg.eps}")
 
 stream = EdgeStream.from_edges(g.n, g.edges)
-result = run_framework(stream, req, cfg, max_weight=g.max_weight())
+result = run_framework(stream, req, cfg)
 print(f"kept {result.stored_edges} of {len(g.edges)} edges in the stream")
 print(f"solution weight on the kept edges: {result.weight}")
 

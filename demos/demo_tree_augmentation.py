@@ -26,7 +26,7 @@ inst = generate(
 print(f"tree edges: {[(u, v) for u, v, _ in inst.base.edges]}")
 print(f"candidate links: {list(inst.links)}")
 
-scheme = BucketScheme(Fraction(1, 2), max(w for _, _, w in inst.links))
+scheme = BucketScheme(Fraction(1, 2))
 state = Cap1State.from_base(inst.base, scheme)
 for link in inst.links:
     state.process_link(*link)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import time
 from fractions import Fraction
@@ -187,11 +188,12 @@ def _cmd_spanner(args):
 
 
 def _cmd_sndp(args):
-    req = load_requirements(args.req)
-    stream = open_stream(args.graph, shuffle_seed=args.shuffle_seed)
+    n, edges = parse_graph_file(args.graph)
+    stream = EdgeStream.from_edges(n, edges, shuffle_seed=args.shuffle_seed)
+    req = load_requirements(args.req, n)
     reliable = None
     if args.reliability:
-        reliable = load_reliability(args.reliability, stream.n)
+        reliable = load_reliability(args.reliability, n)
     cfg = FrameworkConfig(t=args.t, mode=MODES[args.mode], analysis=Analysis(args.analysis))
     with _Timer() as timer:
         result = run_framework(stream, req, cfg, reliable=reliable)
@@ -210,41 +212,41 @@ def _cmd_sndp(args):
         "wall_time_ms": timer.ms,
     }
     if args.oracle:
-        g = load_graph(args.graph, args.reliability)
-        empty = Graph.build(g.n, (), g.reliable)
-        _, opt_weight = brute_optimal(empty, g.edges, req, MODES[args.mode])
+        empty = Graph.build(n, (), reliable)
+        _, opt_weight = brute_optimal(empty, edges, req, MODES[args.mode])
         report["opt_weight"] = opt_weight
         report["ratio"] = _ratio(result.weight, opt_weight)
     _emit(report, args.json_pretty)
     return 0
 
 
-def _cmd_cap(args):
-    state_cls, augment_k, _ = _CAPS[args.command]
-    base = load_graph(args.base)
-    links_stream = open_stream(args.links, shuffle_seed=args.shuffle_seed)
-    if links_stream.n != base.n:
-        raise ParseError(args.links, 1, f"links declare n={links_stream.n}, base has n={base.n}")
-    links = list(links_stream)
-    scheme = BucketScheme(args.eps, max((w for _, _, w in links), default=0))
+def _run_cap(name, base, links, eps, shuffle_seed=None, oracle=True):
+    """One pass of the links through a fresh cap1/cap2 state, its solve and,
+    on request, the brute-force optimum: (report, ms of the streamed part)."""
+    state_cls, augment_k, _ = _CAPS[name]
+    stream = EdgeStream.from_edges(base.n, links, shuffle_seed=shuffle_seed)
     with _Timer() as timer:
-        state = state_cls.from_base(base, scheme)
-        for u, v, w in links:
+        state = state_cls.from_base(base, BucketScheme(eps))
+        for u, v, w in stream:
             state.process_link(u, v, w)
         result = state.finalize()
-    report = {
-        "params": {"eps": str(Fraction(args.eps)), "n": base.n},
-        "stored_links": len(result.stored),
-        "sol_weight": result.weight,
-        "wall_time_ms": timer.ms,
-    }
+    report = {"stored_links": len(result.stored), "sol_weight": result.weight}
     if state_cls is Cap2State:
         report["spqr_nodes"] = len(state.tree.nodes)
-    if args.oracle:
+    if oracle:
         req = RequirementMap.uniform(base.n, augment_k)
-        _, opt_weight = brute_optimal(base, links, req, ConnectivityMode.VERTEX)
-        report["opt_weight"] = opt_weight
-        report["ratio"] = _ratio(result.weight, opt_weight)
+        _, opt = brute_optimal(base, links, req, ConnectivityMode.VERTEX)
+        report.update(opt_weight=opt, ratio=_ratio(result.weight, opt))
+    return report, timer.ms
+
+
+def _cmd_cap(args):
+    base = load_graph(args.base)
+    n, links = parse_graph_file(args.links)
+    if n != base.n:
+        raise ParseError(args.links, 1, f"links declare n={n}, base has n={base.n}")
+    report, ms = _run_cap(args.command, base, links, args.eps, args.shuffle_seed, args.oracle)
+    report.update(params={"eps": str(Fraction(args.eps)), "n": base.n}, wall_time_ms=ms)
     _emit(report, args.json_pretty)
     return 0
 
@@ -252,7 +254,7 @@ def _cmd_cap(args):
 def _cmd_oracle(args):
     base = load_graph(args.base, args.reliability)
     _, links = parse_graph_file(args.links)
-    req = load_requirements(args.req)
+    req = load_requirements(args.req, base.n)
     with _Timer() as timer:
         ids, weight = brute_optimal(base, links, req, MODES[args.mode])
     report = {
@@ -288,30 +290,12 @@ def _cmd_verify_spanner(args):
 
 
 def _bench_cap(suite, seed, eps):
-    state_cls, augment_k, shape = _CAPS[suite]
-    inst = generate(InstanceGenerator(seed=seed, **shape))
-    scheme = BucketScheme(eps, max((w for _, _, w in inst.links), default=0))
-    state = state_cls.from_base(inst.base, scheme)
-    for u, v, w in inst.links:
-        state.process_link(u, v, w)
-    result = state.finalize()
-    req = RequirementMap.uniform(inst.base.n, augment_k)
-    _, opt = brute_optimal(inst.base, inst.links, req, ConnectivityMode.VERTEX)
-    report = {
-        "seed": seed,
-        "stored_links": len(result.stored),
-        "sol_weight": result.weight,
-        "opt_weight": opt,
-        "ratio": _ratio(result.weight, opt),
-    }
-    if state_cls is Cap2State:
-        report["spqr_nodes"] = len(state.tree.nodes)
-    return report
+    inst = generate(InstanceGenerator(seed=seed, **_CAPS[suite][2]))
+    report, _ = _run_cap(suite, inst.base, inst.links, eps)
+    return dict(report, seed=seed)
 
 
 def _bench_sndp(seed, eps):
-    import random
-
     gen = InstanceGenerator(seed=seed, family=Family.CYCLE_PLUS_CHORDS, n=8, chords=3)
     inst = generate(gen)
     rng = random.Random(seed * 7_919 + 1)
@@ -330,7 +314,7 @@ def _bench_sndp(seed, eps):
     req = RequirementMap.from_pairs([(u, v, r) for (u, v), r in chosen.items()])
     cfg = FrameworkConfig(t=2, mode=ConnectivityMode.VERTEX, analysis=Analysis.INTEGRAL)
     stream = EdgeStream.from_edges(inst.base.n, inst.base.edges)
-    result = run_framework(stream, req, cfg, max_weight=inst.base.max_weight())
+    result = run_framework(stream, req, cfg)
     empty = Graph.build(inst.base.n, ())
     _, opt = brute_optimal(empty, inst.base.edges, req, ConnectivityMode.VERTEX)
     return {
@@ -348,7 +332,7 @@ def _bench_spanner(seed, eps):
     inst = generate(gen)
     config = FtConfig(f=1, t=2, mode=FaultMode.VERTEX, eps=eps, test_kind=TestKind.EXACT)
     stream = EdgeStream.from_edges(inst.base.n, inst.base.edges)
-    state = build_spanner(stream, config, inst.base.max_weight())
+    state = build_spanner(stream, config)
     return {
         "seed": seed,
         "input_edges": len(inst.base.edges),
@@ -357,8 +341,6 @@ def _bench_spanner(seed, eps):
 
 
 def _bench_mst(seed, eps):
-    import random
-
     rng = random.Random(seed)
     n = 9
     links = [

@@ -195,7 +195,7 @@ class FrameworkResult:
     weight: int
 
 
-def run_framework(stream, req, cfg, reliable=None, max_weight=None):
+def run_framework(stream, req, cfg, reliable=None):
     """Single pass: keep a fault-tolerant spanner sized for the requirements,
     then solve exactly on it.  Raises InfeasibleError when even the full
     spanner cannot meet the requirements (only possible if the input cannot)."""
@@ -207,7 +207,7 @@ def run_framework(stream, req, cfg, reliable=None, max_weight=None):
         eps=cfg.eps,
         test_kind=TestKind.EXACT,
     )
-    state = build_spanner(stream, ft, max_weight)
+    state = build_spanner(stream, ft)
     spanner = state.spanner_graph(reliable=reliable)
     ids, weight = exact_solve(spanner, req, cfg.mode)
     solution = tuple(spanner.edges[i] for i in ids)

@@ -85,12 +85,6 @@ class Graph:
         keep = sorted(set(edge_ids))
         return Graph(self.n, tuple(self.edges[i] for i in keep), self.reliable)
 
-    def total_weight(self):
-        return sum(w for _, _, w in self.edges)
-
-    def max_weight(self):
-        return max((w for _, _, w in self.edges), default=0)
-
 
 @dataclass(frozen=True)
 class RequirementMap:
@@ -498,7 +492,8 @@ def load_reliability(path, n):
     return tuple(flags)
 
 
-def load_requirements(path):
+def load_requirements(path, n):
+    """Requirement map from 'u v r' lines on the vertices 0..n-1."""
     pairs = []
     seen = set()
     for lineno, line in _data_lines(path):
@@ -509,6 +504,8 @@ def load_requirements(path):
             u, v, r = int(parts[0]), int(parts[1]), int(parts[2])
         except ValueError:
             raise ParseError(path, lineno, f"non-integer line {line!r}") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(path, lineno, f"pair ({u},{v}) out of range for n={n}")
         if u == v:
             raise ParseError(path, lineno, f"requirement on a single vertex {u}")
         key = (min(u, v), max(u, v))

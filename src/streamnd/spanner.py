@@ -279,7 +279,7 @@ class KeptEdge(NamedTuple):
 class FtSpannerState:
     """Per-bucket partial spanners fed by a single pass over weighted edges."""
 
-    def __init__(self, n, config, max_weight):
+    def __init__(self, n, config, max_weight=None):
         if config.test_kind is None:
             if config.t <= 2 or config.f <= 3 or n <= 12:
                 config = replace(config, test_kind=TestKind.EXACT)
@@ -336,19 +336,11 @@ class FtSpannerState:
         return tuple(e.stream_index for e in self.kept)
 
 
-def build_spanner(stream, config, max_weight=None):
-    """Feed a whole edge stream through a fresh spanner state.
-
-    When max_weight is not given the stream is materialized first to find it;
-    that is a harness convenience, not part of the streaming space accounting.
-    """
-    n = stream.n
-    items = stream
-    if max_weight is None:
-        items = list(stream)
-        max_weight = max((w for _, _, w in items), default=0)
-    state = FtSpannerState(n, config, max_weight)
-    for u, v, w in items:
+def build_spanner(stream, config):
+    """Feed a whole edge stream through a fresh spanner state, reading each
+    edge once and only after the previous one was processed."""
+    state = FtSpannerState(stream.n, config)
+    for u, v, w in stream:
         state.process_edge(u, v, w)
     return state
 

@@ -7,7 +7,13 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
+from .errors import ResourceLimitError
 from .graph import parse_graph_file
+
+
+# Most weight classes a BucketScheme holds.  Building a table of n classes
+# takes time quadratic in n: ~0.5 s at 4096 for any eps, ~25 s at 16384.
+MAX_BUCKETS = 4096
 
 
 class BucketScheme:
@@ -19,36 +25,58 @@ class BucketScheme:
     eps = p/q.  An integer w is below (1+eps)^i exactly when it is below
     that ceiling, so `bucket_of` is one bisection with no rounding anywhere.
     `_cuts[0] = 1` is where bucket 1 starts, which leaves weight 0 in bucket
-    0.  A weight that is not an int raises ValueError.
+    0.  The table grows to the first cut past the heaviest weight looked up,
+    one step of the running power per cut, so no stream needs its maximum
+    weight in advance; a given `max_weight` fills it at once and rejects
+    heavier weights.  A weight past MAX_BUCKETS classes raises
+    ResourceLimitError, a negative or non-int one ValueError.
     """
 
-    def __init__(self, eps, max_weight):
+    def __init__(self, eps, max_weight=None):
         self.eps = Fraction(eps)
-        if self.eps <= 0:
+        p, q = self.eps.numerator, self.eps.denominator
+        if p <= 0:
             raise ValueError("eps must be positive")
-        if max_weight < 0:
-            raise ValueError("max weight must be nonnegative")
-        self.max_weight = int(max_weight)
-        # lower ends of buckets 1, 2, ... up to the first one past max_weight
-        step_num = self.eps.numerator + self.eps.denominator
-        step_den = self.eps.denominator
-        num, den = 1, 1
-        self._cuts = [1]
-        while self._cuts[-1] <= self.max_weight:
-            num *= step_num
-            den *= step_den
-            self._cuts.append(-(-num // den))
+        self._step, self._power = (p + q, q), (1, 1)  # power: (p+q)^i, q^i
+        self._cuts = [1]  # lower ends of buckets 1, 2, ...
+        self._limit = 1  # lighter weights need no growth
+        self.max_weight = max_weight
+        if max_weight is not None:
+            if max_weight < 0:
+                raise ValueError("max weight must be nonnegative")
+            self.max_weight = int(max_weight)
+            self._grow(self.max_weight)
+            self._limit = self.max_weight + 1
 
     def bucket_of(self, w):
         if not isinstance(w, int):
             raise ValueError(f"weight {w!r} is not an integer")
-        if w < 0 or w > self.max_weight:
-            raise ValueError(f"weight {w} outside [0, {self.max_weight}]")
+        if w < 0 or w >= self._limit:
+            self._grow(w)
         return bisect_right(self._cuts, w)
 
+    def _grow(self, w):
+        """Extend the table to the first cut past w, or raise and keep it as is."""
+        if w < 0:
+            raise ValueError(f"weight {w} is negative")
+        if self.max_weight is not None and w > self.max_weight:
+            raise ValueError(f"weight {w} outside [0, {self.max_weight}]")
+        cuts, start = self._cuts, len(self._cuts)
+        (step_num, step_den), (num, den) = self._step, self._power
+        while cuts[-1] <= w:
+            if len(cuts) == MAX_BUCKETS:
+                del cuts[start:]
+                raise ResourceLimitError(f"weight {w} needs over {MAX_BUCKETS} buckets; raise eps")
+            num *= step_num
+            den *= step_den
+            cuts.append(-(-num // den))
+        self._power = (num, den)
+        if self.max_weight is None:
+            self._limit = cuts[-1]
+
     def bucket_count(self):
-        """Number of distinct buckets for weights in {0, ..., max_weight}:
-        bucket 0 plus one per cut at or below max_weight."""
+        """Buckets for weights up to max_weight or, without one, the heaviest
+        weight looked up: bucket 0 plus one per cut at or below that weight."""
         return len(self._cuts)
 
     def bounds(self, i):
@@ -84,10 +112,10 @@ class EdgeStream:
 
     @staticmethod
     def from_edges(n, edges, shuffle_seed=None):
-        items = list(edges)
+        stream = EdgeStream(n, edges)
         if shuffle_seed is not None:
-            random.Random(shuffle_seed).shuffle(items)
-        return EdgeStream(n, items)
+            random.Random(shuffle_seed).shuffle(stream._items)
+        return stream
 
 
 def open_stream(path, shuffle_seed=None):

@@ -150,3 +150,31 @@ def canonical_form(tree):
         "--".join(sorted((descs[x], descs[y]))) for x, y, _ in tree.tree_edges
     )
     return ";".join(node_part) + "//" + ";".join(edge_part)
+
+
+class RecordingStream:
+    """A single-pass edge stream that logs ("read", i) as it hands out item i,
+    so a test can check how reads interleave with processing."""
+
+    def __init__(self, n, items, log):
+        self.n = n
+        self._items = list(items)
+        self.log = log
+
+    def __iter__(self):
+        for i, item in enumerate(self._items):
+            self.log.append(("read", i))
+            yield item
+
+
+def record_process_edge(monkeypatch, log):
+    """Make FtSpannerState.process_edge log ("process", w) before it runs."""
+    from streamnd.spanner import FtSpannerState
+
+    process_edge = FtSpannerState.process_edge
+
+    def logged(self, u, v, w):
+        log.append(("process", w))
+        return process_edge(self, u, v, w)
+
+    monkeypatch.setattr(FtSpannerState, "process_edge", logged)

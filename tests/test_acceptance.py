@@ -187,7 +187,7 @@ def test_criterion_04_framework_ratios(capsys):
         analysis = Analysis.INTEGRAL if mode is V else Analysis.FRACTIONAL
         cfg = FrameworkConfig(t=t, mode=mode, analysis=analysis)
         stream = EdgeStream.from_edges(n, g.edges)
-        res = run_framework(stream, req, cfg, reliable=reliable, max_weight=g.max_weight())
+        res = run_framework(stream, req, cfg, reliable=reliable)
         empty = Graph.build(n, (), g.reliable)
         _, opt = brute_optimal(empty, g.edges, req, mode)
         ratio = res.weight / opt if opt else 1.0

@@ -115,6 +115,16 @@ def test_process_link_rejects_bad_links_before_the_stream_moves(link):
     assert [r.lid for r in state.stored_links()] == [0]
 
 
+def test_bucket_guard_trips_before_the_stream_moves():
+    chain = Graph.build(3, [(0, 1), (1, 2)])
+    state = Cap1State.from_base(chain, BucketScheme(Fraction(1, 10000)))
+    with pytest.raises(ResourceLimitError):
+        state.process_link(0, 2, 10**6)
+    assert state._next_lid == 0 and not state._dict and not state._msts
+    state.process_link(0, 2, 1)
+    assert [r.lid for r in state.stored_links()] == [0]
+
+
 def test_chain_single_link_solution():
     chain = Graph.build(3, [(0, 1), (1, 2)])
     state = Cap1State.from_base(chain, BucketScheme(HALF, 4))
@@ -232,3 +242,28 @@ def test_corpus_bounds_and_mirror():
         )
     # pins which links are kept, chosen and mirrored, not only their bounds
     assert short_digest(outputs) == "6567798c2c824103"
+
+
+def test_stored_within_space_bound_without_ceiling():
+    # the table grows with the links seen, yet bounds what was stored, and
+    # the run keeps and chooses what a scheme built to the ceiling would
+    for seed in range(12):
+        inst = generate(
+            InstanceGenerator(
+                seed=seed, family=Family.TREE, n=8, link_count=4, max_links=12, weight_hi=1000
+            )
+        )
+        runs = []
+        ceiling = max(w for _, _, w in inst.links)
+        for scheme in (BucketScheme(HALF), BucketScheme(HALF, ceiling)):
+            state = Cap1State.from_base(inst.base, scheme)
+            for link in inst.links:
+                state.process_link(*link)
+            res = state.finalize()
+            assert len(res.stored) <= state.space_bound()
+            count = scheme.bucket_count()
+            assert all(scheme.bucket_of(r.w) < count for r in res.stored)
+            runs.append(
+                ([r.lid for r in res.stored], [r.lid for r in res.solution], res.weight)
+            )
+        assert runs[0] == runs[1]

@@ -18,7 +18,7 @@ from streamnd import (
     is_k_connected,
 )
 from streamnd import cap2
-from streamnd.errors import InfeasibleError
+from streamnd.errors import InfeasibleError, ResourceLimitError
 
 from conftest import canonical_form, seeded_two_connected, short_digest
 
@@ -175,6 +175,16 @@ def test_process_link_rejects_bad_links_before_the_stream_moves(link):
     assert [r.lid for r in state.finalize().solution] == [0, 1]
 
 
+def test_bucket_guard_trips_before_the_stream_moves():
+    state = Cap2State.from_base(cycle(4), BucketScheme(Fraction(1, 10000)))
+    with pytest.raises(ResourceLimitError):
+        state.process_link(0, 2, 10**6)
+    assert state._next_lid == 0 and state.stored_links() == ()
+    state.process_link(0, 2, 1)
+    state.process_link(1, 3, 1)
+    assert [r.lid for r in state.finalize().solution] == [0, 1]
+
+
 def test_finalize_k4_base_is_free():
     k4 = Graph.build(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     res = Cap2State.from_base(k4, scheme()).finalize()
@@ -271,3 +281,29 @@ def test_corpus_bounds_and_mirror():
         )
     # pins which links are kept, chosen and mirrored, not only their bounds
     assert short_digest(outputs) == "17e130bf7ed311bf"
+
+
+def test_stored_within_space_bound_without_ceiling():
+    # the table grows with the links seen, yet bounds what was stored, and
+    # the run keeps and chooses what a scheme built to the ceiling would
+    for seed in range(12):
+        inst = generate(
+            InstanceGenerator(
+                seed=seed, family=Family.TWO_CONNECTED, n=8, chords=2, link_count=3,
+                max_links=10, weight_hi=1000
+            )
+        )
+        runs = []
+        ceiling = max(w for _, _, w in inst.links)
+        for scheme in (BucketScheme(HALF), BucketScheme(HALF, ceiling)):
+            state = Cap2State.from_base(inst.base, scheme)
+            for link in inst.links:
+                state.process_link(*link)
+            res = state.finalize()
+            assert len(res.stored) <= state.space_bound()
+            count = scheme.bucket_count()
+            assert all(scheme.bucket_of(r.w) < count for r in res.stored)
+            runs.append(
+                ([r.lid for r in res.stored], [r.lid for r in res.solution], res.weight)
+            )
+        assert runs[0] == runs[1]

@@ -180,6 +180,7 @@ def test_cap1_solver_guard_exits_three(tmp_path):
 
 
 PATH4 = "4 3\n0 1 1\n1 2 1\n2 3 1\n"
+C4 = "4 4\n0 1 1\n1 2 1\n2 3 1\n3 0 1\n"
 
 
 @pytest.mark.parametrize(
@@ -210,6 +211,14 @@ PATH4 = "4 3\n0 1 1\n1 2 1\n2 3 1\n"
             ["sndp", "--mode", "elc", "--t", "1", "--graph", "{graph}", "--req", "{req}"],
         ),
         (
+            {"graph": C4, "req": "0 2 1\n0 9 0\n"},
+            ["sndp", "--mode", "vc", "--t", "2", "--graph", "{graph}", "--req", "{req}"],
+        ),
+        (
+            {"base": C4, "links": "4 1\n0 2 1\n", "req": "0 2 1\n0 9 0\n"},
+            ["oracle", "--base", "{base}", "--links", "{links}", "--req", "{req}", "--mode", "vc"],
+        ),
+        (
             {"graph": "3 2\n0 1 1\n0 7 1\n"},
             ["spanner", "--mode", "vft", "--f", "1", "--t", "2", "--eps", "1/3", "--test", "exact",
              "-i", "{graph}", "-o", "{graph}.out"],
@@ -222,6 +231,8 @@ PATH4 = "4 3\n0 1 1\n1 2 1\n2 3 1\n"
         "sndp-t-0",
         "sndp-req-vertex-outside-graph",
         "sndp-elc-req-vertex-outside-graph",
+        "sndp-zero-req-vertex-outside-graph",
+        "oracle-zero-req-vertex-outside-graph",
         "spanner-edge-outside-graph",
     ],
 )
@@ -231,6 +242,28 @@ def test_invalid_input_exits_one_without_traceback(tmp_path, files, argv):
     assert code == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cap1", "--base", "{base}", "--links", "{links}", "--eps", "1/10000"],
+        ["cap2", "--base", "{cycle}", "--links", "{links}", "--eps", "1/10000"],
+        ["spanner", "--mode", "vft", "--f", "1", "--t", "2", "--eps", "1/10000",
+         "-i", "{links}", "-o", "{links}.out"],
+    ],
+    ids=["cap1", "cap2", "spanner"],
+)
+def test_bucket_guard_exits_three(tmp_path, argv):
+    # one heavy link would need ~138k weight classes at this eps
+    paths = {
+        "base": write(tmp_path / "tree.txt", "4 3\n0 1 1\n1 2 1\n2 3 1\n"),
+        "cycle": write(tmp_path / "cycle.txt", C4),
+        "links": write(tmp_path / "links.txt", "4 1\n0 2 1000000\n"),
+    }
+    code, out, err = run_cli([arg.format(**paths) for arg in argv])
+    assert code == 3
+    assert out == "" and err.startswith("resource guard: ")
 
 
 def test_cap2_run(tmp_path, c4_file):

@@ -25,7 +25,13 @@ from streamnd import (
 )
 from streamnd.errors import InfeasibleError, ResourceLimitError
 
-from conftest import seeded_graph, seeded_two_connected, short_digest
+from conftest import (
+    RecordingStream,
+    record_process_edge,
+    seeded_graph,
+    seeded_two_connected,
+    short_digest,
+)
 
 V, E, EL = ConnectivityMode.VERTEX, ConnectivityMode.EDGE, ConnectivityMode.ELEMENT
 
@@ -165,14 +171,25 @@ def test_exact_solve_rejects_bad_maps_with_value_error():
 def test_framework_single_edge():
     stream = EdgeStream.from_edges(2, [(0, 1, 5)])
     cfg = FrameworkConfig(t=2, mode=V)
-    res = run_framework(stream, RequirementMap.from_pairs([(0, 1, 1)]), cfg, max_weight=5)
+    res = run_framework(stream, RequirementMap.from_pairs([(0, 1, 1)]), cfg)
     assert res.solution == ((0, 1, 5),) and res.weight == 5
+
+
+def test_framework_reads_each_edge_after_the_previous_one_is_processed(monkeypatch):
+    log = []
+    record_process_edge(monkeypatch, log)
+    # weight i + 1 marks item i
+    items = [(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 0, 4)]
+    stream = RecordingStream(4, items, log)
+    res = run_framework(stream, RequirementMap.uniform(4, 2), FrameworkConfig(t=1, mode=E))
+    assert log == [event for i in range(4) for event in (("read", i), ("process", i + 1))]
+    assert res.weight == 10
 
 
 def test_framework_cycle_edge_mode_keeps_whole_cycle():
     stream = EdgeStream.from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
     cfg = FrameworkConfig(t=1, mode=E)
-    res = run_framework(stream, RequirementMap.uniform(4, 2), cfg, max_weight=1)
+    res = run_framework(stream, RequirementMap.uniform(4, 2), cfg)
     assert res.weight == 4
 
 
@@ -180,7 +197,7 @@ def test_framework_infeasible_report():
     stream = EdgeStream.from_edges(3, [(0, 1, 1)])
     cfg = FrameworkConfig(t=2, mode=V)
     with pytest.raises(InfeasibleError):
-        run_framework(stream, RequirementMap.from_pairs([(0, 2, 1)]), cfg, max_weight=1)
+        run_framework(stream, RequirementMap.from_pairs([(0, 2, 1)]), cfg)
 
 
 def test_framework_feasibility_transfer():
@@ -202,7 +219,7 @@ def test_framework_feasibility_transfer():
         req = RequirementMap.from_pairs(pairs)
         cfg = FrameworkConfig(t=2, mode=V, analysis=Analysis.INTEGRAL)
         stream = EdgeStream.from_edges(g.n, g.edges)
-        res = run_framework(stream, req, cfg, max_weight=5)
+        res = run_framework(stream, req, cfg)
         sol = Graph.build(g.n, res.solution)
         assert check_feasible(sol, req, V)
         assert res.stored_edges <= len(g.edges)

@@ -339,8 +339,8 @@ def test_reliability_and_requirements_files(tmp_path):
 
     qpath = tmp_path / "req.txt"
     qpath.write_text("0 2 2\n")
-    req = load_requirements(qpath)
+    req = load_requirements(qpath, 3)
     assert req.get(0, 2) == 2
     qpath.write_text("0 2 2\n2 0 2\n")
     with pytest.raises(ParseError):
-        load_requirements(qpath)
+        load_requirements(qpath, 3)

@@ -25,7 +25,7 @@ from streamnd.spanner import (
     _three_hop_cut_fits,
 )
 
-from conftest import seeded_graph, short_digest
+from conftest import RecordingStream, record_process_edge, seeded_graph, short_digest
 
 VF, EF = FaultMode.VERTEX, FaultMode.EDGE
 THIRD = Fraction(1, 3)
@@ -127,6 +127,16 @@ def test_config_validation():
     for t in (1, 2):
         state = FtSpannerState(40, FtConfig(f=9, t=t, mode=VF), 1)
         assert state.config.test_kind is TestKind.EXACT
+
+
+def test_build_spanner_reads_each_edge_after_the_previous_one_is_processed(monkeypatch):
+    log = []
+    record_process_edge(monkeypatch, log)
+    # weight i marks item i; no maximum weight is given anywhere
+    items = [(0, 1, 0), (1, 2, 1), (2, 3, 2), (3, 0, 3), (0, 2, 4)]
+    state = build_spanner(RecordingStream(4, items, log), FtConfig(f=1, t=2, mode=VF))
+    assert log == [event for i in range(5) for event in (("read", i), ("process", i))]
+    assert state.stored_edge_count == 5  # one edge per weight bucket
 
 
 def test_process_edge_threshold_one_is_plain_adjacency():
@@ -246,6 +256,15 @@ def test_process_edge_rejects_bad_weights_before_indexing():
     assert state.kept_ids() == (0,) and not state.rejected
 
 
+def test_process_edge_bucket_guard_trips_before_indexing():
+    cfg = FtConfig(f=1, t=2, mode=VF, eps=Fraction(1, 10000), test_kind=TestKind.EXACT)
+    state = FtSpannerState(3, cfg)
+    with pytest.raises(ResourceLimitError):
+        state.process_edge(0, 1, 10**6)
+    assert state.process_edge(0, 1, 1)
+    assert state.kept_ids() == (0,) and not state.rejected
+
+
 def test_self_query_is_a_zero_hop_path():
     h = _hop([(0, 1), (1, 2)], 3)
     assert h.short_path(1, 1, 0) == ([1], [])
@@ -273,7 +292,7 @@ def test_kept_ids_pinned(name):
     for seed in range(12):
         g = seeded_graph(seed + 300, 9 + seed % 4, p=0.85)
         stream = EdgeStream.from_edges(g.n, g.edges, shuffle_seed=seed)
-        kept.append(build_spanner(stream, cfg, 1).kept_ids())
+        kept.append(build_spanner(stream, cfg).kept_ids())
     assert short_digest(kept) == pin
 
 

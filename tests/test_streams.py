@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from streamnd import BucketScheme, EdgeStream, StreamingMst, open_stream
-from streamnd.errors import ParseError
+from streamnd.errors import ParseError, ResourceLimitError
+from streamnd.streams import MAX_BUCKETS
 from streamnd.oracle import offline_mst_weight
 
 
@@ -27,6 +29,11 @@ def test_bucket_range_errors():
         scheme.bucket_of(-1)
     with pytest.raises(ValueError):
         scheme.bucket_of(11)
+    # without a ceiling only a negative weight is out of range
+    scheme = BucketScheme(1)
+    with pytest.raises(ValueError):
+        scheme.bucket_of(-1)
+    assert scheme.bucket_of(10**6) == 20  # [2^19, 2^20)
 
 
 @given(st.integers(1, 500), st.integers(1, 500), st.sampled_from([Fraction(1, 3), Fraction(1, 2), 1, 2]))
@@ -106,12 +113,54 @@ def test_cut_table_matches_fraction_scan(eps):
         assert small.bucket_of(max_weight) == expected[max_weight], max_weight
         assert small.bucket_count() == expected[max_weight] + 1, max_weight
     assert FractionScanBuckets(eps, 0).bucket_count() == 1
+    # without a ceiling the table grows with the heaviest weight seen so far
+    weights = list(range(5001))
+    random.Random(5000).shuffle(weights)
+    lazy = BucketScheme(eps)
+    assert lazy.bucket_count() == 1
+    heaviest = 0
+    for w in weights:
+        assert lazy.bucket_of(w) == expected[w], w
+        heaviest = max(heaviest, w)
+        assert lazy.bucket_count() == expected[heaviest] + 1, w
 
 
 @pytest.mark.parametrize("w", [2.5, Fraction(3, 2), "3", 3.0, None], ids=repr)
 def test_bucket_rejects_non_int_weight(w):
     with pytest.raises(ValueError):
         BucketScheme(Fraction(1, 2), 8).bucket_of(w)
+    with pytest.raises(ValueError):
+        BucketScheme(Fraction(1, 2)).bucket_of(w)
+
+
+def test_bucket_table_guard_at_the_cap():
+    # at eps = 1 the cuts are 1, 2, 4, ...: a table of MAX_BUCKETS classes
+    # ends at the cut 2^(MAX_BUCKETS - 1)
+    scheme = BucketScheme(1)
+    top = 2 ** (MAX_BUCKETS - 1)
+    assert scheme.bucket_of(top - 1) == MAX_BUCKETS - 1
+    assert scheme.bucket_count() == MAX_BUCKETS
+    with pytest.raises(ResourceLimitError):
+        scheme.bucket_of(top)
+    assert scheme.bucket_count() == MAX_BUCKETS
+    assert BucketScheme(1, top - 1).bucket_count() == MAX_BUCKETS
+    with pytest.raises(ResourceLimitError):
+        BucketScheme(1, top)
+
+
+def test_bucket_table_guard_is_fast_for_tiny_eps():
+    # a table to 10^6 at eps = 1/10000 would need ~138k classes, which took
+    # most of a minute to build before the guard
+    scheme = BucketScheme(Fraction(1, 10000))
+    t0 = time.monotonic()
+    with pytest.raises(ResourceLimitError):
+        scheme.bucket_of(10**6)
+    with pytest.raises(ResourceLimitError):
+        BucketScheme(Fraction(1, 10000), 10**6)
+    assert time.monotonic() - t0 < 5
+    # the failed lookup left the table as it was
+    assert scheme.bucket_count() == 1
+    assert scheme.bucket_of(1) == 1
 
 
 def test_mst_triangle_any_order():
