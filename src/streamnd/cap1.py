@@ -7,7 +7,8 @@ exact solver picks the cheapest feasible subset of the retained links.
 
 The post-stream steps that cap1 and cap2 share live here as module functions:
 `unique_links` (the retained set), `solve_retained` (the exact solve with the
-base forced in) and `contracted_mst_links` (the Kruskal of `sol_from_opt`).
+base forced in), and for `sol_from_opt` `opt_buckets` (the optimum's buckets)
+and `contracted_mst_links` (its Kruskal).
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ from typing import NamedTuple
 
 from .errors import InfeasibleError
 from .framework import exact_solve
-from .graph import ConnectivityMode, Graph, RequirementMap, tree_in_subtree, tree_lca
+from .graph import (
+    ConnectivityMode,
+    Graph,
+    RequirementMap,
+    root_tree,
+    tree_in_subtree,
+    tree_lca,
+)
 from .streams import StreamingMst, item_bucket
 
 
@@ -33,48 +41,14 @@ class RootedTree:
     children: tuple
 
     @staticmethod
-    def from_graph(g, root=0):
-        tree, extras = RootedTree.spanning(g, root)
-        if extras:
-            raise ValueError("graph is not a tree; it has cycle edges")
-        return tree
-
-    @staticmethod
     def spanning(g, root=0):
         """BFS spanning tree plus the ids of the non-tree edges."""
         if not 0 <= root < g.n:
             raise ValueError("root out of range")
-        adj = g.adjacency()
-        parent = [None] * g.n
-        depth = [0] * g.n
-        parent[root] = root
-        order = [root]
-        tree_edge_ids = set()
-        head = 0
-        while head < len(order):
-            x = order[head]
-            head += 1
-            for y, eid in adj[x]:
-                if parent[y] is None:
-                    parent[y] = x
-                    depth[y] = depth[x] + 1
-                    tree_edge_ids.add(eid)
-                    order.append(y)
-        if any(p is None for p in parent):
-            raise ValueError("base graph must be connected")
-        children = [[] for _ in range(g.n)]
-        for x in range(g.n):
-            if x != root:
-                children[parent[x]].append(x)
-        tree = RootedTree(
-            g.n,
-            root,
-            tuple(parent),
-            tuple(depth),
-            tuple(tuple(c) for c in children),
-        )
-        extras = tuple(i for i in range(len(g.edges)) if i not in tree_edge_ids)
-        return tree, extras
+        parent, parent_eid, depth, children = root_tree(g.adjacency(), root)
+        tree_eids = set(parent_eid)
+        extras = tuple(i for i in range(len(g.edges)) if i not in tree_eids)
+        return RootedTree(g.n, root, parent, depth, children), extras
 
     def edges(self):
         return tuple(
@@ -141,6 +115,23 @@ def solve_retained(n, base_pairs, stored, k):
     chosen = (stored[i - len(base_edges)] for i in ids if i >= len(base_edges))
     solution = tuple(rec for rec in chosen if not rec.synthetic)
     return AugmentResult(stored, solution, weight)
+
+
+def opt_buckets(scheme, opt):
+    """`sol_from_opt`'s links as (u, v, bucket), each read from a LinkRec
+    or a (u, v, w) triple.  A weight past the bucket table cannot have been
+    processed, so it raises ValueError instead of growing the table."""
+    out = []
+    for link in opt:
+        u, v, w = link.triple() if isinstance(link, LinkRec) else link
+        j = scheme.bucket_in_table(w)
+        if j is None:
+            raise ValueError(
+                f"weight {w} is past every bucket; "
+                "the optimum must be part of the processed stream"
+            )
+        out.append((u, v, j))
+    return out
 
 
 def contracted_mst_links(mst, good):
@@ -244,9 +235,8 @@ class Cap1State:
         covered by the optimum contracted together.  Test oracle only."""
         tree = self.tree
         picked = []
-        opt = [link.triple() if isinstance(link, LinkRec) else link for link in opt]
-        for u, v, w in opt:
-            j = self.scheme.bucket_of(w)
+        opt = opt_buckets(self.scheme, opt)
+        for u, v, j in opt:
             for x in (u, v):
                 rec = self._dict.get((x, j))
                 if rec is None:

@@ -6,16 +6,18 @@ tree.  The stream keeps, per tree node and weight bucket, the link whose
 tree-LCA sits closest to the root; per P node, a streaming MST over its child
 subtrees; and per S node, the extreme links seen from every cycle position,
 with dummy positions standing for whole subtrees hanging off virtual edges.
+Which cycle position (S) or child supernode (P) each vertex falls on is read
+from the tree: one walk per vertex from its `h_map` node to the root.
 An exact solver then picks the cheapest feasible subset of what was kept;
-that solve, the retained-set union and the contracted Kruskal of
-`sol_from_opt` are the augmentation core shared with `cap1`.
+that solve, the retained-set union, and `sol_from_opt`'s bucket lookup and
+contracted Kruskal are the augmentation core shared with `cap1`.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 
-from .cap1 import LinkRec, contracted_mst_links, solve_retained, unique_links
+from .cap1 import LinkRec, contracted_mst_links, opt_buckets, solve_retained, unique_links
 # unused here; perfbench/test_tracer.py checks that tracing wraps this binding
 from .framework import exact_solve  # noqa: F401
 from .graph import ConnectivityMode, _biconnected, is_k_connected
@@ -23,12 +25,29 @@ from .spqr import VIRTUAL, build_spqr
 from .streams import StreamingMst, item_bucket
 
 
+def _child_sides(tree):
+    """Per tree node x, the vertices with no copy in x but copies below it,
+    each mapped to the child of x that holds them.  A vertex's copies form a
+    subtree topped by its h_map node, so the nodes that hold it below are
+    exactly that node's strict ancestors: one walk to the root per vertex,
+    O(n * depth) in all."""
+    parent, root = tree.parent, tree.root
+    below = [{} for _ in tree.nodes]
+    for z, x in tree.h_map.items():
+        while x != root:
+            x, child = parent[x], x
+            below[x][z] = child
+    return below
+
+
 class _SNodeData:
     """Cycle positions of one S node: original vertices interleaved with one
     dummy per virtual edge; the anchor dummy (parent edge, or the lowest
-    virtual edge on the root cycle) takes position 0."""
+    virtual edge on the root cycle) takes position 0.  `fmap` sends every
+    vertex to its own point or to the dummy of the tree edge toward its
+    copies, read from the node's `_child_sides` map."""
 
-    def __init__(self, tree, node):
+    def __init__(self, tree, node, below):
         anchor_ref = tree.parent_vid[node.nid]
         if anchor_ref is None:
             virts = node.virtual_edges()
@@ -43,28 +62,11 @@ class _SNodeData:
                 pts.append(("d", edges[i].ref))
         self.points = pts
         self.pos = {pt: i for i, pt in enumerate(pts)}
-        self.fmap = self._build_fmap(tree, node)
-
-    def _build_fmap(self, tree, node):
-        fmap = {x: ("v", x) for x in node.vertices}
-        parent_vid = tree.parent_vid[node.nid]
-        for e in node.virtual_edges():
-            if e.ref == parent_vid:
-                continue
-            x, y = tree.virtual_nodes(e.ref)
-            child = y if x == node.nid else x
-            for vert in tree.subtree_vertices(child) - node.vertices:
-                if vert in fmap and fmap[vert] != ("d", e.ref):
-                    raise AssertionError("vertex claimed by two child subtrees")
-                fmap[vert] = ("d", e.ref)
-        if parent_vid is not None:
-            below = tree.subtree_vertices(node.nid)
-            for vert in tree.h_map:
-                if vert not in below and vert not in fmap:
-                    fmap[vert] = ("d", parent_vid)
-        if set(fmap) != set(tree.h_map):
-            raise AssertionError("cycle position map must cover every vertex")
-        return fmap
+        # parent side for every vertex, then the sides below, then the node's own
+        vid = tree.parent_vid
+        self.fmap = dict.fromkeys(tree.h_map, ("d", vid[node.nid]))
+        self.fmap.update((z, ("d", vid[child])) for z, child in below.items())
+        self.fmap.update((z, ("v", z)) for z in node.vertices)
 
 
 def _needed_edges(g):
@@ -101,15 +103,13 @@ class Cap2State:
         self._snodes = {}
         self._pnodes = {}  # nid -> (supernode map, StreamingMst)
         self._next_lid = 0
+        sides = _child_sides(tree)
         for node in tree.nodes:
             if node.kind == "S":
-                self._snodes[node.nid] = _SNodeData(tree, node)
+                self._snodes[node.nid] = _SNodeData(tree, node, sides[node.nid])
             elif node.kind == "P":
-                smap = {}
-                for child in tree.children[node.nid]:
-                    for vert in tree.subtree_vertices(child) - node.vertices:
-                        smap[vert] = child
-                self._pnodes[node.nid] = (smap, StreamingMst(tree.children[node.nid]))
+                mst = StreamingMst(tree.children[node.nid])
+                self._pnodes[node.nid] = (sides[node.nid], mst)
         for u, v, _ in removed:
             self._ingest(u, v, 0, 0, synthetic=True)
 
@@ -217,9 +217,8 @@ class Cap2State:
                 )
             return slot[0][0] if which == "min" else slot[1][0]
 
-        opt = [link.triple() if isinstance(link, LinkRec) else link for link in opt]
-        for u, v, w in opt:
-            j = self.scheme.bucket_of(w)
+        opt = opt_buckets(self.scheme, opt)
+        for u, v, j in opt:
             for a, b in ((u, v), (v, u)):
                 x = tree.h_map[a]
                 got = self._dict.get((x, j))

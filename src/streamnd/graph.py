@@ -158,6 +158,34 @@ def tree_in_subtree(tree, z, x):
     return z == x
 
 
+def root_tree(adj, root):
+    """BFS tree of a connected graph from `root`, scanning each list of
+    (neighbour, edge label) pairs in `adj` in order.  Returns parent (the
+    root is its own parent), parent-edge label (None at the root), depth and
+    children in increasing order, each as a tuple; ValueError if a vertex is
+    unreachable."""
+    n = len(adj)
+    parent = [None] * n
+    label = [None] * n
+    depth = [0] * n
+    parent[root] = root
+    order = [root]
+    for x in order:  # the list grows while it is scanned
+        for y, lab in adj[x]:
+            if parent[y] is None:
+                parent[y] = x
+                label[y] = lab
+                depth[y] = depth[x] + 1
+                order.append(y)
+    if len(order) < n:
+        raise ValueError("graph must be connected")
+    children = [[] for _ in range(n)]
+    for x in range(n):
+        if x != root:
+            children[parent[x]].append(x)
+    return tuple(parent), tuple(label), tuple(depth), tuple(map(tuple, children))
+
+
 # ---------------------------------------------------------------------------
 # cut vertices by lowpoint DFS
 

@@ -13,7 +13,7 @@ vertex a, O(n (n + m)), and a skeleton can be split up to O(n) times.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import NamedTuple
 
@@ -21,6 +21,7 @@ from .graph import (
     ConnectivityMode,
     _cut_gains,
     is_k_connected,
+    root_tree,
     tree_in_subtree,
     tree_lca,
 )
@@ -91,9 +92,11 @@ class SpqrNode:
         return order, edges
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpqrTree:
-    """Rooted SPQR tree; immutable by convention once built."""
+    """Rooted SPQR tree.  The copies of a vertex form a subtree whose top is
+    its `h_map` node, so which side of a node a vertex lies on is one walk
+    up from there (see `cap2._child_sides`)."""
 
     nodes: tuple  # SpqrNode, indexed by nid
     tree_edges: tuple  # (x, y, vid) with x < y
@@ -105,7 +108,6 @@ class SpqrTree:
     h_map: dict  # vertex -> nid of its copy closest to the root
     l_map: dict  # vertex -> nid of its copy furthest from the root
     nodes_of_vertex: dict  # vertex -> tuple of nids containing a copy
-    _subtree_vertices: dict = field(default_factory=dict, repr=False)
 
     def virtual_endpoints(self, vid):
         for node in self.nodes:
@@ -114,25 +116,8 @@ class SpqrTree:
                     return e.pair()
         raise KeyError(f"no virtual edge {vid}")
 
-    def virtual_nodes(self, vid):
-        """The two tree nodes sharing the given virtual edge."""
-        for x, y, v in self.tree_edges:
-            if v == vid:
-                return x, y
-        raise KeyError(f"no virtual edge {vid}")
-
     lca = tree_lca
     in_subtree = tree_in_subtree
-
-    def subtree_vertices(self, x):
-        """All graph vertices with a copy in the subtree rooted at x."""
-        cached = self._subtree_vertices.get(x)
-        if cached is None:
-            verts = set(self.nodes[x].vertices)
-            for c in self.children[x]:
-                verts |= self.subtree_vertices(c)
-            cached = self._subtree_vertices[x] = frozenset(verts)
-        return cached
 
     def parent_pair(self, x):
         """Endpoints of the virtual edge between x and its parent."""
@@ -361,31 +346,11 @@ def _assemble(skeletons, vmap):
         for node in nodes
         if any(e.kind == REAL and e.ref == lowest_real for e in node.edges)
     )
-    adj = {node.nid: [] for node in nodes}
+    adj = [[] for _ in nodes]
     for x, y, vid in tree_edges:
         adj[x].append((y, vid))
         adj[y].append((x, vid))
-    parent = [None] * len(nodes)
-    parent_vid = [None] * len(nodes)
-    depth = [0] * len(nodes)
-    parent[root] = root
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y, vid in sorted(adj[x]):
-                if parent[y] is None:
-                    parent[y] = x
-                    parent_vid[y] = vid
-                    depth[y] = depth[x] + 1
-                    nxt.append(y)
-        frontier = nxt
-    if any(p is None for p in parent):
-        raise AssertionError("SPQR tree must be connected")
-    children = [
-        tuple(sorted(y for y in range(len(nodes)) if parent[y] == x and y != x))
-        for x in range(len(nodes))
-    ]
+    parent, parent_vid, depth, children = root_tree(adj, root)
 
     nodes_of_vertex = {}
     for node in nodes:
@@ -404,10 +369,10 @@ def _assemble(skeletons, vmap):
         nodes=tuple(nodes),
         tree_edges=tree_edges,
         root=root,
-        parent=tuple(parent),
-        parent_vid=tuple(parent_vid),
-        depth=tuple(depth),
-        children=tuple(children),
+        parent=parent,
+        parent_vid=parent_vid,
+        depth=depth,
+        children=children,
         h_map=h_map,
         l_map=l_map,
         nodes_of_vertex=nodes_of_vertex,

@@ -55,6 +55,13 @@ class BucketScheme:
             self._grow(w)
         return bisect_right(self._cuts, w)
 
+    def bucket_in_table(self, w):
+        """Bucket of w if the table already reaches it, else None; checks w as
+        bucket_of does but never grows the table."""
+        if isinstance(w, int) and w >= self._limit:
+            return None
+        return self.bucket_of(w)
+
     def _grow(self, w):
         """Extend the table to the first cut past w, or raise and keep it as is."""
         if w < 0:

@@ -103,6 +103,24 @@ def seeded_two_connected(seed, n):
             return g
 
 
+def ear_graph(seed, n, window=None):
+    """Simple 2-vertex-connected graph on n >= 4 vertices: a 4-cycle plus
+    seeded ears, each a path through 1-4 new vertices between two distinct
+    existing ones.  With a `window`, both ends come from the `window` newest
+    vertices, so the ears nest and the SPQR tree runs deep."""
+    rng = random.Random(seed)
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    m = 4
+    while m < n:
+        size = min(rng.randint(1, 4), n - m)
+        lo = 0 if window is None else max(0, m - window)
+        a, b = rng.sample(range(lo, m), 2)
+        path = [a, *range(m, m + size), b]
+        edges += zip(path, path[1:])
+        m += size
+    return Graph.build(n, edges)
+
+
 def remerged_edges(tree):
     """Undo every split bottom-up; returns the reconstructed multiset of
     (u, v) pairs, which must match the input graph's edges exactly."""

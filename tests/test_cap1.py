@@ -26,7 +26,9 @@ HALF = Fraction(1, 2)
 
 
 def _tree(edges, n, root=0):
-    return RootedTree.from_graph(Graph.build(n, edges), root)
+    tree, extras = RootedTree.spanning(Graph.build(n, edges), root)
+    assert extras == ()
+    return tree
 
 
 def test_lca_examples():
@@ -58,10 +60,12 @@ def test_lca_matches_ancestor_intersection():
 
 
 def test_rooted_tree_validation():
+    tree, extras = RootedTree.spanning(Graph.build(3, [(0, 1), (1, 2), (2, 0)]))
+    assert tree.parent == (0, 0, 0) and extras == (1,)
     with pytest.raises(ValueError):
-        _tree([(0, 1), (1, 2), (2, 0)], 3)
+        RootedTree.spanning(Graph.build(3, [(0, 1)]))
     with pytest.raises(ValueError):
-        RootedTree.from_graph(Graph.build(3, [(0, 1)]))
+        RootedTree.spanning(Graph.build(3, [(0, 1), (1, 2)]), root=3)
 
 
 def test_star_link_updates_dicts_and_mst():
@@ -182,6 +186,19 @@ def test_sol_from_opt_trivial_and_chain():
     sol = state.sol_from_opt([(0, 2, 3)])
     j = state.scheme.bucket_of(3)
     assert state._dict[(0, j)] in sol and state._dict[(2, j)] in sol
+
+
+def test_sol_from_opt_leaves_the_bucket_table_alone():
+    state = Cap1State.from_base(Graph.build(3, [(0, 1), (1, 2)]), BucketScheme(1))
+    state.process_link(0, 2, 3)
+    before = state.scheme.bucket_count(), state.space_bound()
+    for link in ((0, 2, 100), LinkRec(0, 2, 100, 0), (0, 2, -1), (0, 2, 2.5)):
+        with pytest.raises(ValueError):
+            state.sol_from_opt([link])
+    with pytest.raises(ValueError, match="the optimum must be part of the processed stream"):
+        state.sol_from_opt([(0, 2, 100)])
+    assert (state.scheme.bucket_count(), state.space_bound()) == before
+    assert [r.triple() for r in state.sol_from_opt([(0, 2, 3)])] == [(0, 2, 3)]
 
 
 def test_sol_from_opt_reads_records_and_triples_alike():

@@ -20,7 +20,7 @@ from streamnd import (
 from streamnd import cap2
 from streamnd.errors import InfeasibleError, ResourceLimitError
 
-from conftest import canonical_form, seeded_two_connected, short_digest
+from conftest import canonical_form, ear_graph, seeded_two_connected, short_digest
 
 V = ConnectivityMode.VERTEX
 HALF = Fraction(1, 2)
@@ -123,6 +123,73 @@ def test_dummy_positions_cover_virtual_edges():
         assert set(data.fmap) == set(range(g.n))
 
 
+def _reference_side_maps(tree):
+    """Reference for the S-node position maps and P-node supernode maps:
+    vertex sets per subtree, each child found through `tree_edges`, and the
+    parent side filled with the parent dummy."""
+    subtree = {}
+
+    def below(x):
+        if x not in subtree:
+            verts = set(tree.nodes[x].vertices)
+            for c in tree.children[x]:
+                verts |= below(c)
+            subtree[x] = frozenset(verts)
+        return subtree[x]
+
+    fmaps, smaps = {}, {}
+    for node in tree.nodes:
+        nid = node.nid
+        if node.kind == "P":
+            smaps[nid] = {
+                z: child for child in tree.children[nid] for z in below(child) - node.vertices
+            }
+        if node.kind != "S":
+            continue
+        fmap = {z: ("v", z) for z in node.vertices}
+        parent_vid = tree.parent_vid[nid]
+        for e in node.virtual_edges():
+            if e.ref == parent_vid:
+                continue
+            x, y = next((x, y) for x, y, vid in tree.tree_edges if vid == e.ref)
+            for z in below(y if x == nid else x) - node.vertices:
+                assert fmap.get(z, ("d", e.ref)) == ("d", e.ref), "claimed twice"
+                fmap[z] = ("d", e.ref)
+        if parent_vid is not None:
+            for z in set(tree.h_map) - below(nid):
+                fmap[z] = ("d", parent_vid)
+        assert set(fmap) == set(tree.h_map)
+        fmaps[nid] = fmap
+    return fmaps, smaps
+
+
+def _side_map_corpus():
+    for seed in range(40):
+        yield generate(
+            InstanceGenerator(
+                seed=seed, family=Family.TWO_CONNECTED, n=8 + seed, chords=1 + seed % 6,
+                link_count=0, ensure_augmentable=False,
+            )
+        ).base
+    for seed in range(40):
+        yield ear_graph(seed, 10 + 2 * seed)
+    for seed in range(40):
+        yield ear_graph(seed, 30 + 2 * seed, window=6)
+
+
+def test_side_maps_match_subtree_vertex_sets():
+    nodes = depth = 0
+    for g in _side_map_corpus():
+        state = Cap2State.from_base(g, scheme())
+        fmaps, smaps = _reference_side_maps(state.tree)
+        assert {nid: data.fmap for nid, data in state._snodes.items()} == fmaps
+        assert {nid: smap for nid, (smap, _) in state._pnodes.items()} == smaps
+        nodes += len(fmaps) + len(smaps)
+        depth = max(depth, *state.tree.depth)
+    # the corpus reaches deep trees with many S and P nodes
+    assert nodes >= 1000 and depth >= 20
+
+
 def test_single_s_node_minmax_updates():
     state = Cap2State.from_base(cycle(5), scheme())
     state.process_link(1, 3, 1)
@@ -212,6 +279,20 @@ def test_sol_from_opt_c4_diagonals():
     sol = state.sol_from_opt(opt)
     aug = Graph.build(4, list(cycle(4).edges) + [r.triple() for r in sol])
     assert is_k_connected(aug, 3, V)
+
+
+def test_sol_from_opt_leaves_the_bucket_table_alone():
+    state = Cap2State.from_base(cycle(4), BucketScheme(1))
+    state.process_link(0, 2, 3)
+    state.process_link(1, 3, 3)
+    before = state.scheme.bucket_count(), state.space_bound()
+    for link in ((1, 3, 100), LinkRec(1, 3, 100, 1), (1, 3, -1), (1, 3, 2.5)):
+        with pytest.raises(ValueError):
+            state.sol_from_opt([(0, 2, 3), link])
+    with pytest.raises(ValueError, match="the optimum must be part of the processed stream"):
+        state.sol_from_opt([(0, 2, 3), (1, 3, 100)])
+    assert (state.scheme.bucket_count(), state.space_bound()) == before
+    assert len(state.sol_from_opt([(0, 2, 3), (1, 3, 3)])) == 2
 
 
 def test_sol_from_opt_reads_records_and_triples_alike():

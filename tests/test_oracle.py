@@ -41,6 +41,18 @@ def test_brute_optimal_infeasible_and_guard():
         brute_optimal(base, [(0, 1, 1)] * 23, RequirementMap.uniform(3, 1), V)
 
 
+def test_brute_optimal_rejects_requirement_vertex_outside_graph():
+    base = Graph.build(3, [])
+    for mode in (V, E, ConnectivityMode.ELEMENT):
+        with pytest.raises(ValueError):
+            brute_optimal(base, [(0, 1, 1)], RequirementMap.from_pairs([(0, 9, 1)]), mode)
+        # a zero requirement is never checked, so neither are its vertices
+        ids, weight = brute_optimal(
+            base, [(0, 1, 1)], RequirementMap.from_pairs([(0, 1, 1), (0, 9, 0)]), mode
+        )
+        assert ids == (0,) and weight == 1
+
+
 def test_brute_optimal_agrees_with_exact_solve():
     done = 0
     seed = 0
