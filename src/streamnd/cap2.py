@@ -199,11 +199,11 @@ class Cap2State:
         """Mirror an optimal solution inside the retained set; test oracle.
 
         Per optimal link: the two tree-node dictionary picks, the Min/Max
-        picks on the S node where the link's deepest copies meet, and the Min
-        pick on the (at most one) S node holding an endpoint off its parent
-        edge while the other endpoint leaves its subtree.  Per P node, the
-        stored MST restricted to supernodes the optimum does not already tie
-        to the outside.
+        picks on the S node where the link's deepest copies meet, and, per
+        endpoint, the Min pick on its `h_map` node (the one node holding it
+        off its parent pair) if that is an S node whose subtree the other
+        endpoint leaves.  Per P node, the stored MST restricted to supernodes
+        the optimum does not already tie to the outside.
         """
         tree = self.tree
         picked = []
@@ -239,16 +239,9 @@ class Cap2State:
                     picked.append(lookup_minmax(meet, data.fmap[u], j, "min"))
                     picked.append(lookup_minmax(meet, data.fmap[v], j, "max"))
             for a, b in ((u, v), (v, u)):
-                for nid, data in self._snodes.items():
-                    node = tree.nodes[nid]
-                    if a not in node.vertices:
-                        continue
-                    ppair = tree.parent_pair(nid)
-                    if ppair is not None and a in ppair:
-                        continue
-                    if tree.in_subtree(tree.l_map[b], nid):
-                        continue
-                    picked.append(lookup_minmax(nid, ("v", a), j, "min"))
+                x = tree.h_map[a]
+                if x in self._snodes and not tree.in_subtree(tree.l_map[b], x):
+                    picked.append(lookup_minmax(x, ("v", a), j, "min"))
 
         for nid, (smap, mst) in self._pnodes.items():
             good = {

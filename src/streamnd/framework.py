@@ -112,8 +112,8 @@ def exact_solve(g, req, mode, fixed=(), max_branch_edges=40):
     if not feasible(base_ids + free):
         raise InfeasibleError("no feasible edge subset exists in this graph")
 
-    # degree bound tables, built after the call above has validated the
-    # nonzero entries of `req` (zero ones are never checked, so skip them):
+    # degree bound tables, built after the call above has validated every
+    # entry of `req` (zero ones add no need, so skip them):
     # short[x] is need(x) minus x's fixed degree, pos_at[x] the positions in
     # `free` of x's branching edges, cheapest_at[x][d] the sum of its d
     # cheapest ones (they are the last d, as `free` is sorted heaviest first)

@@ -96,6 +96,8 @@ class RequirementMap:
     def from_pairs(pairs):
         seen = {}
         for u, v, r in pairs:
+            if not (isinstance(u, int) and isinstance(v, int)):
+                raise ValueError(f"requirement pair ({u!r},{v!r}) needs int vertex ids")
             if u == v:
                 raise ValueError(f"requirement on a single vertex {u} is undefined")
             if not isinstance(r, int) or r < 0:
@@ -373,9 +375,9 @@ def check_feasible(g, req, mode):
     """True iff every required pair reaches its requirement in this graph."""
     needed = []
     for u, v, r in req.pairs():
+        _check_pair(g, u, v)
         if r == 0:
             continue
-        _check_pair(g, u, v)
         if mode is ConnectivityMode.ELEMENT and not (g.reliable[u] and g.reliable[v]):
             raise ValueError(
                 f"element-connectivity requirement on non-reliable pair ({u},{v})"

@@ -116,10 +116,11 @@ def _flow_feasible(g, req, mode):
     """One max-flow per required pair on a network reset between pairs, with
     none of `check_feasible`'s shortcuts, so that the oracle stays independent
     of the solvers it checks."""
-    needed = [(u, v, r) for u, v, r in req.pairs() if r > 0]
-    for u, v, _ in needed:
+    for u, v, _ in req.pairs():
         if not (0 <= u < g.n and 0 <= v < g.n):
             raise ValueError(f"requirement on ({u},{v}) names a vertex outside 0..{g.n - 1}")
+    needed = [(u, v, r) for u, v, r in req.pairs() if r > 0]
+    for u, v, _ in needed:
         if mode is ConnectivityMode.ELEMENT and not (g.reliable[u] and g.reliable[v]):
             raise ValueError(
                 f"element-connectivity requirement on non-reliable pair ({u},{v})"

@@ -2,9 +2,10 @@
 3-connected (R) skeletons joined by shared virtual edges.
 
 Construction splits recursively on separation pairs until no skeleton has
-one, then merges adjacent dipole pairs and adjacent cycle pairs to a fixed
-point.  A skeleton that is a cycle is final as it stands (Hopcroft and
-Tarjan's polygons), so it costs one degree count and no split search.
+one, then merges every two adjacent dipoles and every two adjacent cycles in
+one pass (a merge keeps the kind, so no merge makes another possible).  A
+skeleton that is a cycle is final as it stands (Hopcroft and Tarjan's
+polygons), so it costs one edge count and no split search.
 Correctness is the contract here, not linear time: each split search on a
 skeleton that is not a cycle runs one cut-vertex DFS of G - a per skeleton
 vertex a, O(n (n + m)), and a skeleton can be split up to O(n) times.
@@ -95,8 +96,10 @@ class SpqrNode:
 @dataclass(frozen=True)
 class SpqrTree:
     """Rooted SPQR tree.  The copies of a vertex form a subtree whose top is
-    its `h_map` node, so which side of a node a vertex lies on is one walk
-    up from there (see `cap2._child_sides`)."""
+    its `h_map` node, and two adjacent nodes share exactly the endpoints of
+    their virtual edge.  So a vertex lies on the pair a node x shares with
+    its parent iff x holds it and is not its `h_map` node, and which side of
+    x a vertex lies on is one walk up from its `h_map` node."""
 
     nodes: tuple  # SpqrNode, indexed by nid
     tree_edges: tuple  # (x, y, vid) with x < y
@@ -109,22 +112,8 @@ class SpqrTree:
     l_map: dict  # vertex -> nid of its copy furthest from the root
     nodes_of_vertex: dict  # vertex -> tuple of nids containing a copy
 
-    def virtual_endpoints(self, vid):
-        for node in self.nodes:
-            for e in node.edges:
-                if e.kind == VIRTUAL and e.ref == vid:
-                    return e.pair()
-        raise KeyError(f"no virtual edge {vid}")
-
     lca = tree_lca
     in_subtree = tree_in_subtree
-
-    def parent_pair(self, x):
-        """Endpoints of the virtual edge between x and its parent."""
-        vid = self.parent_vid[x]
-        if vid is None:
-            return None
-        return self.virtual_endpoints(vid)
 
     def skeleton_edge_total(self):
         return sum(len(node.edges) for node in self.nodes)
@@ -212,30 +201,14 @@ def _choose_side(classes):
 # construction
 
 
-def _classify(vertices, edges):
-    if len(vertices) == 2:
+def _kind(edges):
+    """'P' for a skeleton on two vertices, 'S' for a cycle, 'R' otherwise.
+    A skeleton is 2-connected, so no degree is below 2 and it is a cycle
+    exactly when it has as many edges as vertices."""
+    nverts = len({x for e in edges for x in (e.u, e.v)})
+    if nverts == 2:
         return "P"
-    deg = {x: 0 for x in vertices}
-    for e in edges:
-        deg[e.u] += 1
-        deg[e.v] += 1
-    if all(d == 2 for d in deg.values()):
-        return "S"
-    return "R"
-
-
-def _is_dipole(vertices):
-    return len(vertices) == 2
-
-
-def _is_cycle(vertices, edges):
-    if len(vertices) < 3 or len(edges) != len(vertices):
-        return False
-    deg = {x: 0 for x in vertices}
-    for e in edges:
-        deg[e.u] += 1
-        deg[e.v] += 1
-    return all(d == 2 for d in deg.values())
+    return "S" if len(edges) == nverts else "R"
 
 
 def build_spqr(g):
@@ -274,7 +247,7 @@ def _split_components(edges):
         edges = stack.pop()
         pairs = [(e.u, e.v) for e in edges]
         verts = sorted({x for p in pairs for x in p})
-        hit = None if _is_cycle(verts, edges) else _find_pair(verts, pairs)
+        hit = None if _kind(edges) == "S" else _find_pair(verts, pairs)
         if hit is None:
             nid = next(next_nid)
             skeletons[nid] = list(edges)
@@ -292,35 +265,28 @@ def _split_components(edges):
 
 
 def _assemble(skeletons, vmap):
-    """Merge adjacent dipole pairs and adjacent cycle pairs to a fixed point,
-    then freeze and root the tree; consumes the output of
-    `_split_components`."""
-    def vertices_of(nid):
-        return {x for e in skeletons[nid] for x in (e.u, e.v)}
+    """Merge the skeletons across every tree edge joining two cycles or two
+    dipoles, then freeze and root the tree; consumes the output of
+    `_split_components`.
 
-    def mergeable(x, y):
-        vx, vy = vertices_of(x), vertices_of(y)
-        if _is_dipole(vx) and _is_dipole(vy):
-            return True
-        return _is_cycle(vx, skeletons[x]) and _is_cycle(vy, skeletons[y])
+    Gluing two cycles along their virtual edge gives a cycle, and gluing two
+    dipoles gives a dipole, so a merge keeps the kind and one pass over the
+    virtual edges reaches the fixed point.  Each merge goes into the lower
+    working nid, so a merged node keeps the lowest nid of its parts."""
+    kinds = {nid: _kind(edges) for nid, edges in skeletons.items()}
+    merged_into = {}
 
-    while True:
-        candidate = None
-        for vid in sorted(vmap):
-            x, y = vmap[vid]
-            if mergeable(x, y):
-                candidate = (vid, min(x, y), max(x, y))
-                break
-        if candidate is None:
-            break
-        vid, keep, drop = candidate
-        merged = [e for e in skeletons[keep] if not (e.kind == VIRTUAL and e.ref == vid)]
-        merged += [e for e in skeletons[drop] if not (e.kind == VIRTUAL and e.ref == vid)]
-        skeletons[keep] = merged
-        del skeletons[drop]
-        del vmap[vid]
-        for other, members in vmap.items():
-            vmap[other] = [keep if nid == drop else nid for nid in members]
+    def find(nid):
+        while nid in merged_into:
+            nid = merged_into[nid]
+        return nid
+
+    for vid in sorted(vmap):
+        keep, drop = sorted(map(find, vmap[vid]))
+        if kinds[keep] == kinds[drop] != "R":
+            merged_into[drop] = keep
+            skeletons[keep] += skeletons.pop(drop)
+            del vmap[vid]
 
     # freeze nodes with compacted ids in construction order
     order = sorted(skeletons)
@@ -328,15 +294,15 @@ def _assemble(skeletons, vmap):
     nodes = []
     for old in order:
         edges = tuple(
-            sorted(skeletons[old], key=lambda e: (e.kind != REAL, e.ref))
+            sorted(
+                (e for e in skeletons[old] if e.kind == REAL or e.ref in vmap),
+                key=lambda e: (e.kind != REAL, e.ref),
+            )
         )
         verts = frozenset(x for e in edges for x in (e.u, e.v))
-        nodes.append(SpqrNode(remap[old], _classify(verts, edges), verts, edges))
+        nodes.append(SpqrNode(remap[old], kinds[old], verts, edges))
     tree_edges = tuple(
-        sorted(
-            (min(remap[x], remap[y]), max(remap[x], remap[y]), vid)
-            for vid, (x, y) in vmap.items()
-        )
+        sorted((*sorted(remap[find(x)] for x in pair), vid) for vid, pair in vmap.items())
     )
 
     # root at the node holding the lowest-id real edge
@@ -391,10 +357,10 @@ def enumerate_two_cuts(tree):
     for node in tree.nodes:
         if node.kind == "P":
             cuts.add(frozenset(node.vertices))
-    for x, y, vid in tree.tree_edges:
+    for x, y, _ in tree.tree_edges:
         kinds = {tree.nodes[x].kind, tree.nodes[y].kind}
         if "R" in kinds and kinds <= {"R", "S"}:
-            cuts.add(frozenset(tree.virtual_endpoints(vid)))
+            cuts.add(tree.nodes[x].vertices & tree.nodes[y].vertices)
     for node in tree.nodes:
         if node.kind != "S":
             continue

@@ -86,12 +86,6 @@ class BucketScheme:
         weight looked up: bucket 0 plus one per cut at or below that weight."""
         return len(self._cuts)
 
-    def bounds(self, i):
-        """Half-open weight interval [lo, hi) of bucket i (exact Fractions)."""
-        if i == 0:
-            return Fraction(0), Fraction(0)
-        return (1 + self.eps) ** (i - 1), (1 + self.eps) ** i
-
 
 def item_bucket(n, scheme, u, v, w):
     """Weight bucket of a stream item (u, v, w), or ValueError for an

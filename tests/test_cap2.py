@@ -18,6 +18,8 @@ from streamnd import (
     is_k_connected,
 )
 from streamnd import cap2
+from streamnd.cap1 import contracted_mst_links, opt_buckets, unique_links
+from streamnd.spqr import VIRTUAL
 from streamnd.errors import InfeasibleError, ResourceLimitError
 
 from conftest import canonical_form, ear_graph, seeded_two_connected, short_digest
@@ -315,6 +317,79 @@ def test_sol_from_opt_reads_records_and_triples_alike():
         recs = [LinkRec(u, v, w, i) for i, (u, v, w) in zip(opt_ids, triples)]
         picks = state.sol_from_opt(triples)
         assert picks and state.sol_from_opt(recs) == picks
+
+
+def _sol_from_opt_by_scan(state, opt):
+    """Reference for Cap2State.sol_from_opt: the Min pick for an endpoint a
+    found by scanning every S node for one that holds a off its parent pair,
+    with the pair read from the node's parent virtual edge."""
+    tree = state.tree
+    picked = []
+
+    def lookup_minmax(nid, pt, j, which):
+        slot = state._minmax.get((nid, pt, j))
+        if slot is None:
+            raise ValueError("no stored extreme link")
+        return slot[0][0] if which == "min" else slot[1][0]
+
+    def parent_pair(nid):
+        vid = tree.parent_vid[nid]
+        return next((e.pair() for e in tree.nodes[nid].edges if e.ref == vid
+                     and e.kind == VIRTUAL), None)
+
+    opt = opt_buckets(state.scheme, opt)
+    for u, v, j in opt:
+        for a in (u, v):
+            picked.append(state._dict[(tree.h_map[a], j)][0])
+        meet = tree.lca(tree.l_map[u], tree.l_map[v])
+        if tree.nodes[meet].kind == "S":
+            data = state._snodes[meet]
+            pu, pv = data.pos[data.fmap[u]], data.pos[data.fmap[v]]
+            if pu != pv:
+                lo, hi = (u, v) if pu < pv else (v, u)
+                picked.append(lookup_minmax(meet, data.fmap[hi], j, "min"))
+                picked.append(lookup_minmax(meet, data.fmap[lo], j, "max"))
+        for a, b in ((u, v), (v, u)):
+            for nid in state._snodes:
+                if a not in tree.nodes[nid].vertices:
+                    continue
+                ppair = parent_pair(nid)
+                if ppair is not None and a in ppair:
+                    continue
+                if tree.in_subtree(tree.l_map[b], nid):
+                    continue
+                picked.append(lookup_minmax(nid, ("v", a), j, "min"))
+    for nid, (_, mst) in state._pnodes.items():
+        good = {
+            child
+            for child in tree.children[nid]
+            if any(
+                tree.in_subtree(tree.h_map[a], child)
+                and not tree.in_subtree(tree.l_map[b], nid)
+                for u, v, _ in opt
+                for a, b in ((u, v), (v, u))
+            )
+        }
+        picked.extend(contracted_mst_links(mst, good))
+    return unique_links(picked)
+
+
+def test_sol_from_opt_matches_the_s_node_scan():
+    calls = 0
+    for seed in range(60):
+        g = ear_graph(seed, 12 + seed % 30, window=None if seed % 2 else 6)
+        rng = random.Random(seed)
+        state = Cap2State.from_base(g, BucketScheme(HALF))
+        links = []
+        for _ in range(3 * g.n):
+            u, v = rng.sample(range(g.n), 2)
+            links.append((u, v, rng.randint(1, 50)))
+            state.process_link(*links[-1])
+        for _ in range(8):
+            opt = rng.sample(links, rng.randint(1, 6))
+            assert state.sol_from_opt(opt) == _sol_from_opt_by_scan(state, opt), seed
+            calls += 1
+    assert calls == 480
 
 
 def test_corpus_bounds_and_mirror():

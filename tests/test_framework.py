@@ -164,8 +164,11 @@ def test_exact_solve_rejects_bad_maps_with_value_error():
         exact_solve(g, RequirementMap.from_pairs([(0, 1, 1)]), EL)
     with pytest.raises(ValueError):
         exact_solve(g, RequirementMap.from_pairs([(0, 9, 1)]), E, fixed=[0])
-    # a zero requirement is never checked, so neither are its vertices
-    assert exact_solve(g, RequirementMap.from_pairs([(0, 1, 1), (0, 9, 0)]), E) == ((0,), 1)
+    # a zero requirement adds no need, but its vertices are checked too
+    for mode in (V, E):
+        with pytest.raises(ValueError, match="vertex out of range"):
+            exact_solve(g, RequirementMap.from_pairs([(0, 1, 1), (0, 9, 0)]), mode)
+    assert exact_solve(g, RequirementMap.from_pairs([(0, 1, 1), (0, 2, 0)]), E) == ((0,), 1)
 
 
 def test_framework_single_edge():

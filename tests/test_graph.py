@@ -85,6 +85,9 @@ def test_requirement_vertex_out_of_range_rejected_in_every_mode():
     for mode in ConnectivityMode:
         with pytest.raises(ValueError, match="vertex out of range"):
             check_feasible(g, RequirementMap.from_pairs([(0, 9, 1)]), mode)
+        # a zero requirement is checked as well, not skipped
+        with pytest.raises(ValueError, match="vertex out of range"):
+            check_feasible(g, RequirementMap.from_pairs([(0, 1, 1), (0, 9, 0)]), mode)
 
 
 def test_is_k_connected_basics():
@@ -297,6 +300,14 @@ def test_requirement_map_rules():
     assert req.get(1, 2) == 3
     assert req.get(0, 2) == 0
     assert RequirementMap.uniform(3, 0).k == 0
+
+
+@pytest.mark.parametrize("pair", [(0, 1.5), (0, "a"), (1.0, 2), (None, 1)])
+def test_requirement_vertices_must_be_ints(pair):
+    # rejected before they are compared or used as indices, so a float or a
+    # string raises ValueError, not TypeError
+    with pytest.raises(ValueError):
+        RequirementMap.from_pairs([(*pair, 1)])
 
 
 @pytest.mark.parametrize("r", ["2", 1.5, None, -1])

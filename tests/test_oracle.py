@@ -46,9 +46,15 @@ def test_brute_optimal_rejects_requirement_vertex_outside_graph():
     for mode in (V, E, ConnectivityMode.ELEMENT):
         with pytest.raises(ValueError):
             brute_optimal(base, [(0, 1, 1)], RequirementMap.from_pairs([(0, 9, 1)]), mode)
-        # a zero requirement is never checked, so neither are its vertices
+        # a zero requirement adds no need, but its vertices are checked too,
+        # as exact_solve checks them
+        zero = RequirementMap.from_pairs([(0, 1, 1), (0, 9, 0)])
+        with pytest.raises(ValueError):
+            brute_optimal(base, [(0, 1, 1)], zero, mode)
+        with pytest.raises(ValueError):
+            exact_solve(Graph.build(3, [(0, 1, 1)]), zero, mode)
         ids, weight = brute_optimal(
-            base, [(0, 1, 1)], RequirementMap.from_pairs([(0, 1, 1), (0, 9, 0)]), mode
+            base, [(0, 1, 1)], RequirementMap.from_pairs([(0, 1, 1), (0, 2, 0)]), mode
         )
         assert ids == (0,) and weight == 1
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,6 +17,7 @@ from streamnd.spqr import REAL, VIRTUAL, SkelEdge
 from conftest import (
     canonical_form,
     connected_after_removal,
+    ear_graph,
     random_two_connected,
     remerged_edges,
     seeded_two_connected,
@@ -212,6 +214,90 @@ def test_whole_cycles_give_the_reference_tree():
     assert {("R",), ("S",), ("P", "R", "S"), ("P", "S")} <= kinds
 
 
+def _classify_by_degrees(edges):
+    """Reference for spqr._kind: a dipole on two vertices, a cycle when
+    every vertex has degree 2, else 3-connected."""
+    deg = Counter(x for e in edges for x in (e.u, e.v))
+    if len(deg) == 2:
+        return "P"
+    return "S" if set(deg.values()) == {2} else "R"
+
+
+def _merge_to_fixed_point(skeletons, vmap, merges):
+    """Reference for the merge pass of spqr._assemble: merge the lowest
+    virtual edge joining two dipoles or two cycles into the lower nid and
+    rescan every virtual edge, until none is left.  Counts the merges by
+    kind into `merges`."""
+    while True:
+        candidate = None
+        for vid in sorted(vmap):
+            x, y = vmap[vid]
+            kx, ky = _classify_by_degrees(skeletons[x]), _classify_by_degrees(skeletons[y])
+            if kx == ky and kx in "SP":
+                candidate = (vid, min(x, y), max(x, y), kx)
+                break
+        if candidate is None:
+            return skeletons, vmap
+        vid, keep, drop, kind = candidate
+        merges[kind] += 1
+        merged = [e for e in skeletons[keep] if not (e.kind == VIRTUAL and e.ref == vid)]
+        merged += [e for e in skeletons[drop] if not (e.kind == VIRTUAL and e.ref == vid)]
+        skeletons[keep] = merged
+        del skeletons[drop]
+        del vmap[vid]
+        for other, members in vmap.items():
+            vmap[other] = [keep if nid == drop else nid for nid in members]
+
+
+def theta_graph(seed, n):
+    """Poles 0 and 1 joined by paths of 1-3 inner vertices (plus, by seed,
+    the edge 0-1); once two paths join the poles and n/2 vertices are used,
+    each new path instead runs parallel to a seeded existing edge, so thetas
+    nest inside thetas."""
+    rng = random.Random(seed)
+    edges = [(0, 1)] if rng.random() < 0.5 else []
+    poles_joined = len(edges)
+    m = 2
+    while m < n:
+        if poles_joined < 2 or m < n // 2:
+            a, b = 0, 1
+            poles_joined += 1
+        else:
+            a, b = rng.choice(edges)
+        size = min(rng.randint(1, 3), n - m)
+        path = [a, *range(m, m + size), b]
+        edges += zip(path, path[1:])
+        m += size
+    if poles_joined < 2:
+        edges.append((0, 1))
+    return Graph.build(n, edges)
+
+
+def _merge_corpus():
+    for seed in range(60):
+        yield ear_graph(seed, 6 + seed)
+        yield ear_graph(seed, 12 + seed, window=5)
+        yield theta_graph(seed, 5 + seed)
+        yield random_two_connected(seed + 900, 5 + seed % 12)
+
+
+def test_one_merge_pass_matches_the_fixed_point_loop():
+    merges = Counter()
+    for g in _merge_corpus():
+        edges = [SkelEdge(u, v, REAL, eid) for eid, (u, v, _) in enumerate(g.edges)]
+        want = spqr._assemble(*_merge_to_fixed_point(*spqr._split_components(edges), merges))
+        got = build_spqr(g)
+        assert to_debug_lines(got) == to_debug_lines(want), g.edges
+        for attr in ("tree_edges", "root", "parent", "parent_vid", "depth", "children",
+                     "h_map", "l_map", "nodes_of_vertex"):
+            assert getattr(got, attr) == getattr(want, attr), (g.edges, attr)
+        assert got.nodes == want.nodes
+        for node in got.nodes:
+            assert node.kind == _classify_by_degrees(node.edges)
+    # the corpus glues cycles to cycles and dipoles to dipoles
+    assert merges["S"] >= 500 and merges["P"] >= 200, merges
+
+
 def test_k4_is_single_r_node():
     tree = build_spqr(K4)
     assert [node.kind for node in tree.nodes] == ["R"]
@@ -296,6 +382,15 @@ def test_structure_invariants_on_random_graphs():
             tops = [nid for nid in nids if tree.parent[nid] not in nids or nid == tree.root]
             assert len(tops) == 1
             assert tops[0] == tree.h_map[x]
+        # two adjacent nodes share exactly their virtual edge's endpoints
+        pair_of = {e.ref: set(e.pair()) for node in tree.nodes for e in node.virtual_edges()}
+        for x, y, vid in tree.tree_edges:
+            assert tree.nodes[x].vertices & tree.nodes[y].vertices == pair_of[vid]
+        # so a vertex of a node x lies on x's parent pair iff x is not its h_map node
+        for node in tree.nodes:
+            parent_pair = pair_of.get(tree.parent_vid[node.nid], set())
+            for z in node.vertices:
+                assert (z in parent_pair) == (tree.h_map[z] != node.nid)
 
 
 def test_canonical_form_is_order_insensitive():

@@ -46,9 +46,8 @@ def test_bucket_order_embedding(w1, w2, eps):
 @given(st.integers(1, 500), st.sampled_from([Fraction(1, 3), Fraction(1, 2), 1]))
 def test_bucket_width_factor(w, eps):
     scheme = BucketScheme(eps, 500)
-    lo, hi = scheme.bounds(scheme.bucket_of(w))
-    assert lo <= w < hi
-    assert hi == lo * (1 + Fraction(eps))
+    j = scheme.bucket_of(w)
+    assert (1 + Fraction(eps)) ** (j - 1) <= w < (1 + Fraction(eps)) ** j
 
 
 def test_every_weight_maps_to_one_bucket():
