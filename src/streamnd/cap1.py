@@ -5,10 +5,13 @@ common ancestor sits closest to the root, plus, per vertex, a streaming MST
 over its child subtrees (contracted to supernodes).  After the stream, an
 exact solver picks the cheapest feasible subset of the retained links.
 
-The post-stream steps that cap1 and cap2 share live here as module functions:
-`unique_links` (the retained set), `solve_retained` (the exact solve with the
-base forced in), and for `sol_from_opt` `opt_buckets` (the optimum's buckets)
-and `contracted_mst_links` (its Kruskal).
+That summary is `LinkCore`, which cap2 keeps on its SPQR tree as well: per
+node and bucket the link meeting closest to the root, and an MST at the one
+node where a link's endpoints meet below two different children.  The
+post-stream steps the two share live here too: `unique_links` (the retained
+set), `solve_retained` (the exact solve with the base forced in), and for
+`sol_from_opt` `opt_buckets` (the optimum's buckets) and
+`contracted_mst_links` (its Kruskal).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .graph import (
     Graph,
     RequirementMap,
     root_tree,
+    tree_child_toward,
     tree_in_subtree,
     tree_lca,
 )
@@ -46,8 +50,10 @@ class RootedTree:
         if not 0 <= root < g.n:
             raise ValueError("root out of range")
         parent, parent_eid, depth, children = root_tree(g.adjacency(), root)
-        tree_eids = set(parent_eid)
-        extras = tuple(i for i in range(len(g.edges)) if i not in tree_eids)
+        extras = ()
+        if len(g.edges) >= g.n:  # n - 1 edges that connect g are all tree edges
+            tree_eids = set(parent_eid)
+            extras = tuple(i for i in range(len(g.edges)) if i not in tree_eids)
         return RootedTree(g.n, root, parent, depth, children), extras
 
     def edges(self):
@@ -57,14 +63,7 @@ class RootedTree:
 
     lca = tree_lca
     in_subtree = tree_in_subtree
-
-    def child_toward(self, x, u):
-        """The child of x whose subtree contains u; u must be below x."""
-        while self.depth[u] > self.depth[x] + 1:
-            u = self.parent[u]
-        if self.parent[u] != x:
-            raise ValueError(f"{u} is not below {x}")
-        return u
+    child_toward = tree_child_toward
 
 
 class LinkRec(NamedTuple):
@@ -155,68 +154,128 @@ def contracted_mst_links(mst, good):
     return kept
 
 
+class LinkCore:
+    """The link summary cap1 and cap2 keep on a rooted tree.  A vertex z has
+    copies on the tree nodes from its top copy h[z] down to its deepest copy
+    l[z], and a link (u, v) meets at lca(h[u], h[v]).
+
+    - Per node x and bucket, among the links with an endpoint a topped at x,
+      the one whose other endpoint b reaches closest to the root: least depth
+      of lca(x, l[b]), the earliest link on ties.
+    - Per node x with `flag[x]`, a streaming MST over x's children, made on
+      first use.  A link enters at most the MST at its meeting node, when
+      neither endpoint is topped there, as an edge between the children
+      toward h[u] and h[v]."""
+
+    def __init__(self, tree, h, l, flag):
+        self.tree = tree
+        self.h = h
+        self.l = l
+        self.flag = flag
+        self._dict = {}  # (node, bucket) -> (LinkRec, meeting depth)
+        self._msts = {}  # node -> StreamingMst over its children
+        self._next_lid = 0
+
+    def add(self, u, v, w, j, synthetic):
+        """Give the link the next id and update both structures; returns its
+        record, or None for a self-loop, which takes an id but is not kept."""
+        rec = LinkRec(u, v, w, self._next_lid, synthetic)
+        self._next_lid += 1
+        if u == v:
+            return None
+        tree, l, slots = self.tree, self.l, self._dict
+        depth = tree.depth
+        hu, hv = self.h[u], self.h[v]
+        meet = tree.lca(hu, hv)
+        # the depths where v's deepest copy meets hu, and u's meets hv
+        du = dv = depth[meet]
+        if l[v] != hv:
+            du = depth[tree.lca(hu, l[v])]
+        if l[u] != hu:
+            dv = depth[tree.lca(hv, l[u])]
+        cur = slots.get((hu, j))
+        if cur is None or du < cur[1]:
+            slots[hu, j] = (rec, du)
+        cur = slots.get((hv, j))
+        if cur is None or dv < cur[1]:
+            slots[hv, j] = (rec, dv)
+        if meet != hu and meet != hv and self.flag[meet]:
+            mst = self._msts.get(meet)
+            if mst is None:
+                mst = self._msts[meet] = StreamingMst(tree.children[meet])
+            a, b = tree.child_toward(meet, hu), tree.child_toward(meet, hv)
+            mst.insert(a, b, w, payload=rec)
+        return rec
+
+    def kept(self):
+        """Every record the dictionary and the MSTs hold, repeats included."""
+        return chain(
+            (rec for rec, _ in self._dict.values()),
+            (e.payload for mst in self._msts.values() for e in mst.edges()),
+        )
+
+    def sol_from_opt(self, opt):
+        """The records mirroring the optimum's (u, v, bucket) triples: each
+        endpoint's dictionary pick at its top copy, and per MST the Kruskal
+        with the children the optimum already ties to the outside of its node
+        contracted together.  Repeats included."""
+        tree, h, l = self.tree, self.h, self.l
+        picked = []
+        for u, v, j in opt:
+            for a in (u, v):
+                got = self._dict.get((h[a], j))
+                if got is None:
+                    raise ValueError(
+                        f"dictionary has no entry for node {h[a]} bucket {j}; "
+                        "the optimum must be part of the processed stream"
+                    )
+                picked.append(got[0])
+        for x, mst in self._msts.items():
+            good = {
+                c
+                for c in tree.children[x]
+                if any(
+                    tree.in_subtree(h[a], c) and not tree.in_subtree(l[b], x)
+                    for u, v, _ in opt
+                    for a, b in ((u, v), (v, u))
+                )
+            }
+            picked.extend(contracted_mst_links(mst, good))
+        return picked
+
+
 class Cap1State:
-    """Stream state for tree augmentation: per-vertex link dictionaries plus
-    per-vertex contracted-children MSTs."""
+    """Stream state for tree augmentation: a `LinkCore` on the spanning tree,
+    where every vertex is its own top and deepest copy and every vertex with
+    children keeps an MST."""
 
     def __init__(self, tree, scheme):
         self.tree = tree
         self.scheme = scheme
-        self._dict = {}  # (vertex, bucket) -> LinkRec
-        self._msts = {}  # vertex -> StreamingMst over its children
-        self._next_lid = 0
+        ids = tuple(range(tree.n))
+        self._core = LinkCore(tree, ids, ids, tree.children)
 
     @staticmethod
     def from_base(g, scheme, root=0):
-        """Accept any connected base: fix a spanning tree, then replay the
-        remaining base edges as weight-0 links ahead of the stream."""
+        """Accept any connected base on at least 3 vertices: fix a spanning
+        tree, then replay the remaining base edges as weight-0 links ahead of
+        the stream."""
+        if g.n < 3:
+            raise ValueError("need at least 3 vertices to aim for 2-connectivity")
         tree, extras = RootedTree.spanning(g, root)
         state = Cap1State(tree, scheme)
         for eid in extras:
             u, v, _ = g.edges[eid]
-            state._ingest(u, v, 0, 0, synthetic=True)
+            state._core.add(u, v, 0, 0, synthetic=True)
         return state
-
-    def _mst_for(self, x):
-        mst = self._msts.get(x)
-        if mst is None:
-            mst = self._msts[x] = StreamingMst(self.tree.children[x])
-        return mst
-
-    def _ingest(self, u, v, w, j, synthetic):
-        rec = LinkRec(u, v, w, self._next_lid, synthetic)
-        self._next_lid += 1
-        if u == v:
-            return
-        tree = self.tree
-        anchor = tree.lca(u, v)
-        for x in (u, v):
-            key = (x, j)
-            cur = self._dict.get(key)
-            if cur is None:
-                self._dict[key] = rec
-            else:
-                other = cur.v if cur.u == x else cur.u
-                if tree.depth[anchor] < tree.depth[tree.lca(x, other)]:
-                    self._dict[key] = rec
-        if u != anchor and v != anchor:
-            a = tree.child_toward(anchor, u)
-            b = tree.child_toward(anchor, v)
-            if a != b:
-                self._mst_for(anchor).insert(a, b, w, payload=rec)
 
     def process_link(self, u, v, w):
         j = item_bucket(self.tree.n, self.scheme, u, v, w)
-        self._ingest(u, v, w, j, synthetic=False)
+        self._core.add(u, v, w, j, synthetic=False)
 
     def stored_links(self):
         """The retained link set F, deduplicated, in arrival order."""
-        return unique_links(
-            chain(
-                self._dict.values(),
-                (e.payload for mst in self._msts.values() for e in mst.edges()),
-            )
-        )
+        return unique_links(self._core.kept())
 
     def space_bound(self):
         """Retention ceiling: one dictionary slot per vertex and bucket plus
@@ -233,31 +292,4 @@ class Cap1State:
         """Mirror an optimal solution inside the retained set: dictionary
         picks per optimal link plus per-vertex MSTs with the subtrees already
         covered by the optimum contracted together.  Test oracle only."""
-        tree = self.tree
-        picked = []
-        opt = opt_buckets(self.scheme, opt)
-        for u, v, j in opt:
-            for x in (u, v):
-                rec = self._dict.get((x, j))
-                if rec is None:
-                    raise ValueError(
-                        f"dictionary has no entry for vertex {x} bucket {j}; "
-                        "the optimum must be part of the processed stream"
-                    )
-                picked.append(rec)
-
-        for x in range(tree.n):
-            mst = self._msts.get(x)
-            if mst is None:
-                continue
-            good = {
-                c
-                for c in tree.children[x]
-                if any(
-                    tree.in_subtree(a, c) and not tree.in_subtree(b, x)
-                    for u, v, _ in opt
-                    for a, b in ((u, v), (v, u))
-                )
-            }
-            picked.extend(contracted_mst_links(mst, good))
-        return unique_links(picked)
+        return unique_links(self._core.sol_from_opt(opt_buckets(self.scheme, opt)))

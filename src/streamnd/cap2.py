@@ -2,41 +2,44 @@
 
 The base is first thinned to an edge-minimal 2-connected subgraph (removed
 edges re-enter the stream as weight-0 links) and decomposed into an SPQR
-tree.  The stream keeps, per tree node and weight bucket, the link whose
-tree-LCA sits closest to the root; per P node, a streaming MST over its child
-subtrees; and per S node, the extreme links seen from every cycle position,
+tree.  The stream keeps cap1's `LinkCore` on that tree, with each vertex's
+topmost and deepest copies (`h_map`, `l_map`) as its ends: per tree node and
+weight bucket, the link whose tree-LCA sits closest to the root, and per P
+node a streaming MST over its child subtrees, which a link enters only at the
+P node where its endpoints' top copies meet below two different children.
+Per S node it also keeps the extreme links seen from every cycle position,
 with dummy positions standing for whole subtrees hanging off virtual edges.
-Which cycle position (S) or child supernode (P) each vertex falls on is read
-from the tree: one walk per vertex from its `h_map` node to the root.
-An exact solver then picks the cheapest feasible subset of what was kept;
-that solve, the retained-set union, and `sol_from_opt`'s bucket lookup and
-contracted Kruskal are the augmentation core shared with `cap1`.
+Which cycle position each vertex falls on is read from the tree: one walk per
+vertex from its `h_map` node to the root.  An exact solver then picks the
+cheapest feasible subset of what was kept; that solve, the retained-set
+union, and `sol_from_opt`'s bucket lookup are shared with `cap1`.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 
-from .cap1 import LinkRec, contracted_mst_links, opt_buckets, solve_retained, unique_links
+from .cap1 import LinkCore, opt_buckets, solve_retained, unique_links
 # unused here; perfbench/test_tracer.py checks that tracing wraps this binding
 from .framework import exact_solve  # noqa: F401
 from .graph import ConnectivityMode, _biconnected, is_k_connected
 from .spqr import VIRTUAL, build_spqr
-from .streams import StreamingMst, item_bucket
+from .streams import item_bucket
 
 
 def _child_sides(tree):
-    """Per tree node x, the vertices with no copy in x but copies below it,
-    each mapped to the child of x that holds them.  A vertex's copies form a
+    """Per S node x, the vertices with no copy in x but copies below it, each
+    mapped to the child of x that holds them.  A vertex's copies form a
     subtree topped by its h_map node, so the nodes that hold it below are
     exactly that node's strict ancestors: one walk to the root per vertex,
     O(n * depth) in all."""
     parent, root = tree.parent, tree.root
-    below = [{} for _ in tree.nodes]
+    below = {node.nid: {} for node in tree.nodes if node.kind == "S"}
     for z, x in tree.h_map.items():
         while x != root:
             x, child = parent[x], x
-            below[x][z] = child
+            if x in below:
+                below[x][z] = child
     return below
 
 
@@ -98,18 +101,13 @@ class Cap2State:
         self.base = minimal_base
         self.tree = tree
         self.scheme = scheme
-        self._dict = {}  # (nid, bucket) -> (LinkRec, lca depth)
+        is_p = tuple(node.kind == "P" for node in tree.nodes)
+        self._core = LinkCore(tree, tree.h_map, tree.l_map, is_p)
         self._minmax = {}  # (nid, point, bucket) -> [min (rec,pos), max (rec,pos)]
-        self._snodes = {}
-        self._pnodes = {}  # nid -> (supernode map, StreamingMst)
-        self._next_lid = 0
-        sides = _child_sides(tree)
-        for node in tree.nodes:
-            if node.kind == "S":
-                self._snodes[node.nid] = _SNodeData(tree, node, sides[node.nid])
-            elif node.kind == "P":
-                mst = StreamingMst(tree.children[node.nid])
-                self._pnodes[node.nid] = (sides[node.nid], mst)
+        self._snodes = {
+            nid: _SNodeData(tree, tree.nodes[nid], below)
+            for nid, below in _child_sides(tree).items()
+        }
         for u, v, _ in removed:
             self._ingest(u, v, 0, 0, synthetic=True)
 
@@ -134,11 +132,6 @@ class Cap2State:
 
     # -- stream phase
 
-    def _update_dict(self, nid, j, rec, key):
-        cur = self._dict.get((nid, j))
-        if cur is None or key < cur[1]:
-            self._dict[(nid, j)] = (rec, key)
-
     def _update_minmax(self, nid, pt, j, rec, other_pos):
         slot = self._minmax.get((nid, pt, j))
         if slot is None:
@@ -150,19 +143,9 @@ class Cap2State:
             slot[1] = (rec, other_pos)
 
     def _ingest(self, u, v, w, j, synthetic):
-        rec = LinkRec(u, v, w, self._next_lid, synthetic)
-        self._next_lid += 1
-        if u == v:
+        rec = self._core.add(u, v, w, j, synthetic)
+        if rec is None:
             return
-        tree = self.tree
-        for a, b in ((u, v), (v, u)):
-            x = tree.h_map[a]
-            key = tree.depth[tree.lca(x, tree.l_map[b])]
-            self._update_dict(x, j, rec, key)
-        for nid, (smap, mst) in self._pnodes.items():
-            su, sv = smap.get(u), smap.get(v)
-            if su is not None and sv is not None and su != sv:
-                mst.insert(su, sv, w, payload=rec)
         for nid, data in self._snodes.items():
             pu, pv = data.fmap[u], data.fmap[v]
             if pu == pv:
@@ -179,8 +162,7 @@ class Cap2State:
     def stored_links(self):
         return unique_links(
             chain(
-                (rec for rec, _ in self._dict.values()),
-                (e.payload for _, mst in self._pnodes.values() for e in mst.edges()),
+                self._core.kept(),
                 (rec for lo_hi in self._minmax.values() for rec, _ in lo_hi),
             )
         )
@@ -198,15 +180,15 @@ class Cap2State:
     def sol_from_opt(self, opt):
         """Mirror an optimal solution inside the retained set; test oracle.
 
-        Per optimal link: the two tree-node dictionary picks, the Min/Max
-        picks on the S node where the link's deepest copies meet, and, per
-        endpoint, the Min pick on its `h_map` node (the one node holding it
-        off its parent pair) if that is an S node whose subtree the other
-        endpoint leaves.  Per P node, the stored MST restricted to supernodes
-        the optimum does not already tie to the outside.
+        The core's picks (per optimal link, the two tree-node dictionary
+        picks; per P node, the stored MST with the supernodes the optimum
+        already ties to the outside contracted), plus per optimal link the
+        Min/Max picks on the S node where the link's deepest copies meet,
+        and, per endpoint, the Min pick on its `h_map` node (the one node
+        holding it off its parent pair) if that is an S node whose subtree
+        the other endpoint leaves.
         """
         tree = self.tree
-        picked = []
 
         def lookup_minmax(nid, pt, j, which):
             slot = self._minmax.get((nid, pt, j))
@@ -218,16 +200,8 @@ class Cap2State:
             return slot[0][0] if which == "min" else slot[1][0]
 
         opt = opt_buckets(self.scheme, opt)
+        picked = self._core.sol_from_opt(opt)
         for u, v, j in opt:
-            for a, b in ((u, v), (v, u)):
-                x = tree.h_map[a]
-                got = self._dict.get((x, j))
-                if got is None:
-                    raise ValueError(
-                        f"dictionary has no entry for node {x} bucket {j}; "
-                        "the optimum must be part of the processed stream"
-                    )
-                picked.append(got[0])
             meet = tree.lca(tree.l_map[u], tree.l_map[v])
             if tree.nodes[meet].kind == "S":
                 data = self._snodes[meet]
@@ -242,17 +216,4 @@ class Cap2State:
                 x = tree.h_map[a]
                 if x in self._snodes and not tree.in_subtree(tree.l_map[b], x):
                     picked.append(lookup_minmax(x, ("v", a), j, "min"))
-
-        for nid, (smap, mst) in self._pnodes.items():
-            good = {
-                child
-                for child in tree.children[nid]
-                if any(
-                    tree.in_subtree(tree.h_map[a], child)
-                    and not tree.in_subtree(tree.l_map[b], nid)
-                    for u, v, _ in opt
-                    for a, b in ((u, v), (v, u))
-                )
-            }
-            picked.extend(contracted_mst_links(mst, good))
         return unique_links(picked)

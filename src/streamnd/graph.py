@@ -126,13 +126,6 @@ class RequirementMap:
         for (u, v), r in self.entries:
             yield u, v, r
 
-    def get(self, u, v):
-        key = (min(u, v), max(u, v))
-        for pair, r in self.entries:
-            if pair == key:
-                return r
-        return 0
-
 
 # ---------------------------------------------------------------------------
 # rooted trees given by parent pointers; `tree` needs `parent` and `depth`
@@ -158,6 +151,19 @@ def tree_in_subtree(tree, z, x):
     while depth[z] > depth[x]:
         z = parent[z]
     return z == x
+
+
+def tree_child_toward(tree, x, z):
+    """The child of node x whose subtree holds node z; ValueError unless z
+    lies strictly below x."""
+    parent, depth = tree.parent, tree.depth
+    y = z
+    if depth[y] > depth[x]:
+        while depth[y] > depth[x] + 1:
+            y = parent[y]
+        if parent[y] == x:
+            return y
+    raise ValueError(f"{z} is not below {x}")
 
 
 def root_tree(adj, root):

@@ -23,6 +23,7 @@ from .graph import (
     _cut_gains,
     is_k_connected,
     root_tree,
+    tree_child_toward,
     tree_in_subtree,
     tree_lca,
 )
@@ -114,6 +115,7 @@ class SpqrTree:
 
     lca = tree_lca
     in_subtree = tree_in_subtree
+    child_toward = tree_child_toward
 
     def skeleton_edge_total(self):
         return sum(len(node.edges) for node in self.nodes)

@@ -161,9 +161,6 @@ class StreamingMst:
                 seen[rec.seq] = rec
         return [seen[s] for s in sorted(seen)]
 
-    def edge_count(self):
-        return sum(len(v) for v in self._adj.values()) // 2
-
     def total_weight(self):
         return sum(rec.w for rec in self.edges())
 

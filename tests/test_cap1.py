@@ -68,14 +68,24 @@ def test_rooted_tree_validation():
         RootedTree.spanning(Graph.build(3, [(0, 1), (1, 2)]), root=3)
 
 
+def test_from_base_needs_three_vertices():
+    # an edge or a lone vertex has no 2-vertex-connected augmentation
+    for g in (Graph.build(2, [(0, 1)]), Graph.build(1, [])):
+        with pytest.raises(ValueError, match="at least 3 vertices"):
+            Cap1State.from_base(g, BucketScheme(HALF, 4))
+    state = Cap1State.from_base(Graph.build(3, [(0, 1), (1, 2)]), BucketScheme(HALF, 4))
+    state.process_link(0, 2, 1)
+    assert state.finalize().weight == 1
+
+
 def test_star_link_updates_dicts_and_mst():
     star = Graph.build(3, [(0, 1), (0, 2)])
     state = Cap1State.from_base(star, BucketScheme(HALF, 4))
     state.process_link(1, 2, 1)
     j = state.scheme.bucket_of(1)
-    assert state._dict[(1, j)].triple() == (1, 2, 1)
-    assert state._dict[(2, j)].triple() == (1, 2, 1)
-    assert [(e.a, e.b) for e in state._msts[0].edges()] == [(1, 2)]
+    assert state._core._dict[(1, j)][0].triple() == (1, 2, 1)
+    assert state._core._dict[(2, j)][0].triple() == (1, 2, 1)
+    assert [(e.a, e.b) for e in state._core._msts[0].edges()] == [(1, 2)]
 
 
 def test_chain_dictionary_prefers_shallower_lca():
@@ -84,7 +94,7 @@ def test_chain_dictionary_prefers_shallower_lca():
     state.process_link(2, 0, 1)  # lca 0, depth 0
     state.process_link(2, 1, 1)  # lca 1, depth 1: loses
     j = state.scheme.bucket_of(1)
-    assert state._dict[(2, j)].triple() == (2, 0, 1)
+    assert state._core._dict[(2, j)][0].triple() == (2, 0, 1)
 
 
 def test_equal_lca_depth_keeps_first_stored():
@@ -93,7 +103,7 @@ def test_equal_lca_depth_keeps_first_stored():
     state.process_link(1, 2, 1)
     state.process_link(1, 3, 1)  # same lca depth for vertex 1: incumbent stays
     j = state.scheme.bucket_of(1)
-    assert state._dict[(1, j)].triple() == (1, 2, 1)
+    assert state._core._dict[(1, j)][0].triple() == (1, 2, 1)
 
 
 BAD_LINKS = (
@@ -114,7 +124,8 @@ def test_process_link_rejects_bad_links_before_the_stream_moves(link):
     state = Cap1State.from_base(chain, BucketScheme(HALF, 4))
     with pytest.raises(ValueError):
         state.process_link(*link)
-    assert state._next_lid == 0 and not state._dict and not state._msts
+    core = state._core
+    assert core._next_lid == 0 and not core._dict and not core._msts
     state.process_link(0, 2, 3)
     assert [r.lid for r in state.stored_links()] == [0]
 
@@ -124,7 +135,8 @@ def test_bucket_guard_trips_before_the_stream_moves():
     state = Cap1State.from_base(chain, BucketScheme(Fraction(1, 10000)))
     with pytest.raises(ResourceLimitError):
         state.process_link(0, 2, 10**6)
-    assert state._next_lid == 0 and not state._dict and not state._msts
+    core = state._core
+    assert core._next_lid == 0 and not core._dict and not core._msts
     state.process_link(0, 2, 1)
     assert [r.lid for r in state.stored_links()] == [0]
 
@@ -185,7 +197,7 @@ def test_sol_from_opt_trivial_and_chain():
     assert state.sol_from_opt([]) == ()
     sol = state.sol_from_opt([(0, 2, 3)])
     j = state.scheme.bucket_of(3)
-    assert state._dict[(0, j)] in sol and state._dict[(2, j)] in sol
+    assert state._core._dict[(0, j)][0] in sol and state._core._dict[(2, j)][0] in sol
 
 
 def test_sol_from_opt_leaves_the_bucket_table_alone():

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
 from streamnd import (
     BucketScheme,
+    Cap1State,
     Cap2State,
     ConnectivityMode,
     Family,
@@ -12,6 +14,7 @@ from streamnd import (
     InstanceGenerator,
     LinkRec,
     RequirementMap,
+    RootedTree,
     brute_optimal,
     build_spqr,
     generate,
@@ -20,6 +23,7 @@ from streamnd import (
 from streamnd import cap2
 from streamnd.cap1 import contracted_mst_links, opt_buckets, unique_links
 from streamnd.spqr import VIRTUAL
+from streamnd.streams import StreamingMst
 from streamnd.errors import InfeasibleError, ResourceLimitError
 
 from conftest import canonical_form, ear_graph, seeded_two_connected, short_digest
@@ -183,13 +187,163 @@ def test_side_maps_match_subtree_vertex_sets():
     nodes = depth = 0
     for g in _side_map_corpus():
         state = Cap2State.from_base(g, scheme())
-        fmaps, smaps = _reference_side_maps(state.tree)
+        fmaps, _ = _reference_side_maps(state.tree)
         assert {nid: data.fmap for nid, data in state._snodes.items()} == fmaps
-        assert {nid: smap for nid, (smap, _) in state._pnodes.items()} == smaps
-        nodes += len(fmaps) + len(smaps)
+        nodes += len(fmaps)
         depth = max(depth, *state.tree.depth)
-    # the corpus reaches deep trees with many S and P nodes
+    # the corpus reaches deep trees with many S nodes
     assert nodes >= 1000 and depth >= 20
+
+
+def _child_below(tree, x, z):
+    while tree.parent[z] != x:
+        z = tree.parent[z]
+    return z
+
+
+def _cap1_reference(tree, links):
+    """cap1's per-vertex rules before `LinkCore`: the dictionary recomputes
+    the incumbent's LCA, and the MST sits at the link's LCA anchor.  `links`
+    holds (u, v, w, bucket, synthetic) in arrival order."""
+    slots, msts = {}, {}
+    for lid, (u, v, w, j, synthetic) in enumerate(links):
+        rec = LinkRec(u, v, w, lid, synthetic)
+        if u == v:
+            continue
+        anchor = tree.lca(u, v)
+        for x in (u, v):
+            cur = slots.get((x, j))
+            if cur is None:
+                slots[(x, j)] = rec
+            else:
+                other = cur.v if cur.u == x else cur.u
+                if tree.depth[anchor] < tree.depth[tree.lca(x, other)]:
+                    slots[(x, j)] = rec
+        if u != anchor and v != anchor:
+            a, b = _child_below(tree, anchor, u), _child_below(tree, anchor, v)
+            if a != b:
+                if anchor not in msts:
+                    msts[anchor] = StreamingMst(tree.children[anchor])
+                msts[anchor].insert(a, b, w, payload=rec)
+    return slots, msts
+
+
+def _cap2_reference(tree, links):
+    """cap2's dictionary rule, with the LCA taken on both sides, and an MST
+    insert at every P node whose supernode map (subtree vertex sets) puts
+    the endpoints below two different children."""
+    _, smaps = _reference_side_maps(tree)
+    slots = {}
+    msts = {nid: StreamingMst(tree.children[nid]) for nid in smaps}
+    for lid, (u, v, w, j, synthetic) in enumerate(links):
+        rec = LinkRec(u, v, w, lid, synthetic)
+        if u == v:
+            continue
+        for a, b in ((u, v), (v, u)):
+            x = tree.h_map[a]
+            key = tree.depth[tree.lca(x, tree.l_map[b])]
+            cur = slots.get((x, j))
+            if cur is None or key < cur[1]:
+                slots[(x, j)] = (rec, key)
+        for nid, smap in smaps.items():
+            su, sv = smap.get(u), smap.get(v)
+            if su is not None and sv is not None and su != sv:
+                msts[nid].insert(su, sv, w, payload=rec)
+    return slots, msts
+
+
+def _reference_picks(tree, h, l, slots, msts, opt):
+    """The dictionary and MST picks of the old `sol_from_opt`s."""
+    picked = [slots[(h[a], j)][0] for u, v, j in opt for a in (u, v)]
+    for x, mst in msts.items():
+        good = {
+            c
+            for c in tree.children[x]
+            if any(
+                tree.in_subtree(h[a], c) and not tree.in_subtree(l[b], x)
+                for u, v, _ in opt
+                for a, b in ((u, v), (v, u))
+            )
+        }
+        picked.extend(contracted_mst_links(mst, good))
+    return unique_links(picked)
+
+
+def _random_stream(rng, state, n):
+    """Feed 2n seeded links, a few self-loops among them, to the state;
+    returns them as (u, v, w, bucket, synthetic)."""
+    links = []
+    for _ in range(2 * n):
+        u, v, w = rng.randrange(n), rng.randrange(n), rng.randint(1, 40)
+        state.process_link(u, v, w)
+        links.append((u, v, w, state.scheme.bucket_of(w), False))
+    return links
+
+
+def _check_core(rng, state, h, l, ref_slots, ref_msts, links, others=()):
+    """Every dictionary slot, every MST's stored edges, `stored_links()`
+    (with the state's `others` records) and the core's `sol_from_opt` picks
+    on seeded subsets of the stream must equal the reference's."""
+    core = state._core
+    assert core._dict == ref_slots
+    assert {x: m.edges() for x, m in core._msts.items()} == {
+        x: m.edges() for x, m in ref_msts.items() if m.edges()
+    }
+    assert state.stored_links() == unique_links(
+        chain(
+            (rec for rec, _ in ref_slots.values()),
+            (e.payload for m in ref_msts.values() for e in m.edges()),
+            others,
+        )
+    )
+    streamed = [(u, v, w) for u, v, w, _, synthetic in links if u != v and not synthetic]
+    for _ in range(4):
+        opt = rng.sample(streamed, rng.randint(1, min(6, len(streamed))))
+        bucketed = [(u, v, state.scheme.bucket_of(w)) for u, v, w in opt]
+        picks = _reference_picks(state.tree, h, l, ref_slots, ref_msts, bucketed)
+        assert unique_links(core.sol_from_opt(bucketed)) == picks
+        if isinstance(state, Cap1State):
+            assert state.sol_from_opt(opt) == picks
+    return len(core._msts)
+
+
+def test_link_core_matches_the_per_node_rules():
+    msts = [0, 0]  # cap1, cap2
+    depth = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        n = rng.randint(3, 60)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 4))]
+        g = Graph.build(n, edges)
+        root = rng.randrange(n)
+        state = Cap1State.from_base(g, BucketScheme(HALF), root)
+        tree, extras = RootedTree.spanning(g, root)
+        links = [(*g.edges[eid][:2], 0, 0, True) for eid in extras]
+        links += _random_stream(rng, state, n)
+        slots, ref_msts = _cap1_reference(tree, links)
+        # the old dictionary kept no depth: it is the LCA depth of the record
+        ref_slots = {
+            key: (rec, tree.depth[tree.lca(rec.u, rec.v)]) for key, rec in slots.items()
+        }
+        ids = range(n)
+        msts[0] += _check_core(rng, state, ids, ids, ref_slots, ref_msts, links)
+    for seed in range(80):
+        rng = random.Random(seed)
+        g = ear_graph(seed, 10 + seed, window=6 if seed % 2 else None)
+        state = Cap2State.from_base(g, BucketScheme(HALF))
+        needed = cap2._needed_edges(g)
+        links = [(u, v, 0, 0, True) for (u, v, _), keep in zip(g.edges, needed) if not keep]
+        links += _random_stream(rng, state, g.n)
+        tree = state.tree
+        ref_slots, ref_msts = _cap2_reference(tree, links)
+        minmax = [rec for lo_hi in state._minmax.values() for rec, _ in lo_hi]
+        msts[1] += _check_core(
+            rng, state, tree.h_map, tree.l_map, ref_slots, ref_msts, links, minmax
+        )
+        depth = max(depth, *tree.depth)
+    # hundreds of vertex and P-node MSTs, on SPQR trees that run deep
+    assert msts[0] >= 600 and msts[1] >= 150 and depth >= 20
 
 
 def test_single_s_node_minmax_updates():
@@ -216,7 +370,7 @@ def test_dict_tie_keeps_incumbent():
     state.process_link(0, 2, 1)
     state.process_link(0, 3, 1)  # same tree node, same lca depth
     j = state.scheme.bucket_of(1)
-    assert state._dict[(0, j)][0].lid == 0
+    assert state._core._dict[(0, j)][0].lid == 0
 
 
 def test_finalize_c4_needs_both_diagonals():
@@ -238,7 +392,7 @@ def test_process_link_rejects_bad_links_before_the_stream_moves(link):
     state = Cap2State.from_base(cycle(4), scheme())
     with pytest.raises(ValueError):
         state.process_link(*link)
-    assert state._next_lid == 0 and state.stored_links() == ()
+    assert state._core._next_lid == 0 and state.stored_links() == ()
     state.process_link(0, 2, 1)
     state.process_link(1, 3, 1)
     assert [r.lid for r in state.finalize().solution] == [0, 1]
@@ -248,7 +402,7 @@ def test_bucket_guard_trips_before_the_stream_moves():
     state = Cap2State.from_base(cycle(4), BucketScheme(Fraction(1, 10000)))
     with pytest.raises(ResourceLimitError):
         state.process_link(0, 2, 10**6)
-    assert state._next_lid == 0 and state.stored_links() == ()
+    assert state._core._next_lid == 0 and state.stored_links() == ()
     state.process_link(0, 2, 1)
     state.process_link(1, 3, 1)
     assert [r.lid for r in state.finalize().solution] == [0, 1]
@@ -340,7 +494,7 @@ def _sol_from_opt_by_scan(state, opt):
     opt = opt_buckets(state.scheme, opt)
     for u, v, j in opt:
         for a in (u, v):
-            picked.append(state._dict[(tree.h_map[a], j)][0])
+            picked.append(state._core._dict[(tree.h_map[a], j)][0])
         meet = tree.lca(tree.l_map[u], tree.l_map[v])
         if tree.nodes[meet].kind == "S":
             data = state._snodes[meet]
@@ -359,7 +513,7 @@ def _sol_from_opt_by_scan(state, opt):
                 if tree.in_subtree(tree.l_map[b], nid):
                     continue
                 picked.append(lookup_minmax(nid, ("v", a), j, "min"))
-    for nid, (_, mst) in state._pnodes.items():
+    for nid, mst in state._core._msts.items():
         good = {
             child
             for child in tree.children[nid]

@@ -195,6 +195,14 @@ C4 = "4 4\n0 1 1\n1 2 1\n2 3 1\n3 0 1\n"
             ["cap2", "--base", "{base}", "--links", "{links}", "--eps", "1/2"],
         ),
         (
+            {"base": "2 1\n0 1 1\n", "links": "2 1\n0 1 5\n"},
+            ["cap1", "--base", "{base}", "--links", "{links}", "--eps", "1/2", "--oracle"],
+        ),
+        (
+            {"base": "1 0\n", "links": "1 0\n"},
+            ["cap1", "--base", "{base}", "--links", "{links}", "--eps", "1/2", "--oracle"],
+        ),
+        (
             {"base": PATH4, "links": "4 1\n0 3 1\n"},
             ["cap1", "--base", "{base}", "--links", "{links}", "--eps", "0"],
         ),
@@ -227,6 +235,8 @@ C4 = "4 4\n0 1 1\n1 2 1\n2 3 1\n3 0 1\n"
     ids=[
         "cap1-disconnected-base",
         "cap2-base-not-2-connected",
+        "cap1-base-on-2-vertices",
+        "cap1-base-on-1-vertex",
         "cap1-eps-0",
         "sndp-t-0",
         "sndp-req-vertex-outside-graph",

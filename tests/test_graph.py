@@ -9,6 +9,8 @@ from streamnd import (
     ConnectivityMode,
     Graph,
     RequirementMap,
+    RootedTree,
+    build_spqr,
     check_feasible,
     is_k_connected,
     load_graph,
@@ -20,7 +22,7 @@ from streamnd.errors import ParseError
 from streamnd.graph import _pair_flow
 from streamnd.oracle import max_disjoint_paths
 
-from conftest import connected_after_removal, seeded_graph
+from conftest import connected_after_removal, ear_graph, seeded_graph
 
 V, E, EL = ConnectivityMode.VERTEX, ConnectivityMode.EDGE, ConnectivityMode.ELEMENT
 
@@ -297,8 +299,7 @@ def test_requirement_map_rules():
         RequirementMap.from_pairs([(0, 1, 1), (1, 0, 2)])
     req = RequirementMap.from_pairs([(0, 1, 1), (2, 1, 3)])
     assert req.k == 3
-    assert req.get(1, 2) == 3
-    assert req.get(0, 2) == 0
+    assert dict(req.entries) == {(0, 1): 1, (1, 2): 3}  # (0, 2) unset
     assert RequirementMap.uniform(3, 0).k == 0
 
 
@@ -351,7 +352,31 @@ def test_reliability_and_requirements_files(tmp_path):
     qpath = tmp_path / "req.txt"
     qpath.write_text("0 2 2\n")
     req = load_requirements(qpath, 3)
-    assert req.get(0, 2) == 2
+    assert dict(req.entries) == {(0, 2): 2}
     qpath.write_text("0 2 2\n2 0 2\n")
     with pytest.raises(ParseError):
         load_requirements(qpath, 3)
+
+
+def test_tree_child_toward_needs_a_node_strictly_below():
+    path, _ = RootedTree.spanning(Graph.build(3, [(0, 1), (1, 2)]))
+    assert path.child_toward(0, 1) == 1
+    assert path.child_toward(0, 2) == 1
+    assert path.child_toward(1, 2) == 2
+    for x, z in ((0, 0), (1, 1), (2, 2), (2, 0), (1, 0)):
+        with pytest.raises(ValueError, match="is not below"):
+            path.child_toward(x, z)
+    # an SPQR tree binds the same helper; check every node pair against a
+    # walk up the parent pointers
+    tree = build_spqr(ear_graph(3, 60, window=6))
+    assert max(tree.depth) >= 3
+    for x in range(len(tree.nodes)):
+        for z in range(len(tree.nodes)):
+            y = z
+            while y != tree.root and tree.parent[y] != x:
+                y = tree.parent[y]
+            if z != x and tree.parent[y] == x:
+                assert tree.child_toward(x, z) == y
+            else:
+                with pytest.raises(ValueError):
+                    tree.child_toward(x, z)
