@@ -383,6 +383,8 @@ def _cmd_bench(args):
     try:
         lo, hi = args.seeds.split("..")
         lo, hi = int(lo), int(hi)
+        if lo > hi:
+            raise ValueError
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad seed range {args.seeds!r}") from None
     runner = _SUITES[args.suite]

@@ -111,7 +111,9 @@ class HopGraph:
     def short_path(self, u, v, limit, banned_vertices=(), banned_edges=()):
         """A shortest u-v path within the hop limit, as (vertices, edge ids);
         ([u], []) when u == v, None when there is none or u or v is banned.
-        Banned vertices are stamped as visited before the BFS starts."""
+        Banned vertices are stamped as visited before the BFS starts.  The
+        last layer only looks for an unbanned edge to v, so the widest
+        layer writes no marks or parents; it finds the same first hit."""
         self._stamp = s = self._stamp + 1
         mark, pv, pe, adj = self._mark, self._pv, self._pe, self.adj
         for x in banned_vertices:
@@ -120,30 +122,42 @@ class HopGraph:
             return None
         if u == v:
             return [u], []
+        if limit < 1:
+            return None
         mark[u] = s
         be = banned_edges
         frontier = [u]
-        for _ in range(limit):
+        for _ in range(limit - 1):
             nxt = []
             for x in frontier:
                 for y, eid in adj[x]:
                     if mark[y] == s or (be and eid in be):
                         continue
+                    if y == v:
+                        return self._trace(u, v, x, eid)
                     mark[y] = s
                     pv[y] = x
                     pe[y] = eid
-                    if y == v:
-                        verts, eids = [v], []
-                        while y != u:
-                            eids.append(pe[y])
-                            y = pv[y]
-                            verts.append(y)
-                        return verts[::-1], eids[::-1]
                     nxt.append(y)
             frontier = nxt
             if not frontier:
                 return None
+        for x in frontier:
+            for y, eid in adj[x]:
+                if y == v and not (be and eid in be):
+                    return self._trace(u, v, x, eid)
         return None
+
+    def _trace(self, u, v, x, eid):
+        """The path u ... x, v of the current query, x reached by BFS
+        parents and v through edge eid."""
+        pv, pe = self._pv, self._pe
+        verts, eids = [v, x], [eid]
+        while x != u:
+            eids.append(pe[x])
+            x = pv[x]
+            verts.append(x)
+        return verts[::-1], eids[::-1]
 
 
 def _greedy_disjoint_short_paths(h, u, v, threshold, mode, want):

@@ -150,14 +150,15 @@ def _components(vertices, endpoint_pairs, banned):
     return comps
 
 
-def _find_pair(vertices, endpoint_pairs):
+def _find_pair(vertices, endpoint_pairs, clear=frozenset()):
     """First separation pair in lexicographic order, with its separation
     classes as index lists into endpoint_pairs, or None.
 
     (a, b) qualifies when removing both leaves two or more components, or
     when a and b share two or more parallel edges on three or more vertices.
     One cut-vertex pass over G - a counts the components of G - {a, b} for
-    every b at once.
+    every b at once.  The caller vouches that no vertex in `clear` lies in a
+    pair, so none of them gets a pass of its own.
     """
     verts = sorted(vertices)
     index = {x: i for i, x in enumerate(verts)}
@@ -168,6 +169,8 @@ def _find_pair(vertices, endpoint_pairs):
         adj[index[v]].append((index[u], eid))
         mult[(min(u, v), max(u, v))] += 1
     for ia, a in enumerate(verts):
+        if a in clear:
+            continue
         comps, gain = _cut_gains(adj, (ia,))
         for ib in range(ia + 1, len(verts)):
             b = verts[ib]
@@ -243,13 +246,17 @@ def _split_components(edges):
     vmap = {}  # vid -> [nid, nid]
     next_nid = count()
 
-    # depth-first, the side split off a pair before the rest of the skeleton
-    stack = [edges]
+    # depth-first, the side split off a pair before the rest of the skeleton.
+    # Each entry carries the vertices known to lie in no separation pair:
+    # the scan found none below the first pair's a, and a pair of a split
+    # component (with its virtual edge) also separates the skeleton it came
+    # from, so those vertices lie in no pair of any later skeleton either.
+    stack = [(edges, frozenset())]
     while stack:
-        edges = stack.pop()
+        edges, clear = stack.pop()
         pairs = [(e.u, e.v) for e in edges]
         verts = sorted({x for p in pairs for x in p})
-        hit = None if _kind(edges) == "S" else _find_pair(verts, pairs)
+        hit = None if _kind(edges) == "S" else _find_pair(verts, pairs, clear)
         if hit is None:
             nid = next(next_nid)
             skeletons[nid] = list(edges)
@@ -258,11 +265,12 @@ def _split_components(edges):
                     vmap.setdefault(e.ref, []).append(nid)
             continue
         a, b, classes = hit
+        clear = clear.union(verts[: verts.index(a)])
         side = set(_choose_side(classes))
         vid = next(vid_counter)
         virt = SkelEdge(a, b, VIRTUAL, vid)
-        stack.append([e for i, e in enumerate(edges) if i not in side] + [virt])
-        stack.append([e for i, e in enumerate(edges) if i in side] + [virt])
+        stack.append(([e for i, e in enumerate(edges) if i not in side] + [virt], clear))
+        stack.append(([e for i, e in enumerate(edges) if i in side] + [virt], clear))
     return skeletons, vmap
 
 

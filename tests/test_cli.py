@@ -104,6 +104,14 @@ def test_option_prefixes_are_not_expanded(argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("seeds", ["3..1", "1-3", "a..b"])
+def test_bad_seed_range_is_a_usage_error(seeds):
+    code, out, err = run_cli(["bench", "--suite", "mst", "--seeds", seeds])
+    assert code == 1
+    assert out == ""
+    assert f"bad seed range {seeds!r}" in err
+
+
 def test_large_vertex_fault_budget_needs_an_explicit_test(tmp_path):
     ring = "".join(f"{i} {(i + 1) % 13} 1\n" for i in range(13))
     graph = write(tmp_path / "ring.txt", f"13 13\n{ring}")

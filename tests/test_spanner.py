@@ -558,6 +558,68 @@ def test_short_path_on_hop_graph_of_graph():
                 assert h.short_path(x, y, limit, [1], {0}) == ref.short_path(x, y, limit, [1], {0})
 
 
+def _last_layer_shapes(d):
+    """u-v graphs for the hop BFS's last layer, with u = 0 and v = 1: (name,
+    edges, banned vertices, banned edge ids, hop distance or None).  The
+    base is a path of d >= 1 edges whose last inner vertex is x."""
+    path = [0, *range(2, d + 1), 1]
+    walk = list(zip(path, path[1:]))
+    x, w = path[-2], d + 1
+    shapes = [
+        ("exact", walk, (), (), d),
+        # w, a neighbour of v at v's depth, is found from x before v is
+        ("neighbour-first", walk[:-1] + [(x, w), (x, 1), (w, 1)], (), (), d),
+        # the first of two parallel x-v edges is banned
+        ("parallel", walk + [(x, 1)], (), {d - 1}, d),
+        ("parallel-both-banned", walk + [(x, 1)], (), {d - 1, d}, None),
+        ("adjacent", walk + [(0, 1)], (), (), 1),
+        ("adjacent-banned", walk + [(0, 1)], (), {d}, d),
+    ]
+    if d >= 2:
+        # a second u-v path of d edges, found after the first
+        other = [0, *range(d + 2, 2 * d + 1), 1]
+        both = walk + list(zip(other, other[1:]))
+        shapes += [
+            ("banned-neighbour", both, {x}, (), d),
+            ("all-neighbours-banned", both, {x, other[-2]}, (), None),
+        ]
+    return shapes
+
+
+def test_short_path_last_layer_matches_reference():
+    rng = random.Random(16)
+    for _ in range(30):
+        for d in (1, 2, 3):
+            for name, edges, bv, be, dist in _last_layer_shapes(d):
+                # noise: extra vertices hung off u, interleaved with the shape,
+                # which widen every layer but lie on no u-v path
+                n = 2 * d + 1 + rng.randint(0, 4)
+                noise = [
+                    (rng.choice([0, *range(2 * d + 1, k)]), k) for k in range(2 * d + 1, n)
+                ]
+                noise += [tuple(rng.sample(range(2 * d + 1, n), 2)) for _ in range(n - 2 * d - 2)]
+                order = [(edges, i) for i in range(len(edges))]
+                order += [(noise, i) for i in range(len(noise))]
+                rng.shuffle(order)
+                label = list(range(n))
+                rng.shuffle(label)
+                all_edges, eid_of = [], {}
+                for part, i in order:
+                    if part is edges:
+                        eid_of[i] = len(all_edges)
+                    a, b = part[i]
+                    all_edges.append((label[a], label[b]))
+                ref, new = _both_graphs(n, all_edges)
+                u, v = label[0], label[1]
+                bans = ([label[y] for y in bv], {eid_of[i] for i in be})
+                for limit in range(4):
+                    want = ref.short_path(u, v, limit, *bans)
+                    assert new.short_path(u, v, limit, *bans) == want, (name, d, limit, all_edges)
+                    # each shape is what its name says: v lies dist hops away
+                    hops = None if want is None else len(want[1])
+                    assert hops == (dist if dist is not None and dist <= limit else None)
+
+
 # ---------------------------------------------------------------------------
 # Threshold 3: the max-flow against the fault branching it replaced there
 # (still the test at every other threshold) and the independent enumeration.

@@ -12,6 +12,7 @@ from streamnd import (
     to_debug_lines,
 )
 from streamnd import spqr
+from streamnd.cap2 import _needed_edges
 from streamnd.spqr import REAL, VIRTUAL, SkelEdge
 
 from conftest import (
@@ -108,9 +109,9 @@ def test_find_pair_matches_pairwise_scan(monkeypatch):
     corpus = []
     real_find_pair = spqr._find_pair
 
-    def recording(vertices, endpoint_pairs):
+    def recording(vertices, endpoint_pairs, clear=frozenset()):
         corpus.append((list(vertices), list(endpoint_pairs)))
-        return real_find_pair(vertices, endpoint_pairs)
+        return real_find_pair(vertices, endpoint_pairs, clear)
 
     with monkeypatch.context() as patch:
         patch.setattr(spqr, "_find_pair", recording)
@@ -296,6 +297,26 @@ def test_one_merge_pass_matches_the_fixed_point_loop():
             assert node.kind == _classify_by_degrees(node.edges)
     # the corpus glues cycles to cycles and dipoles to dipoles
     assert merges["S"] >= 500 and merges["P"] >= 200, merges
+
+
+def test_pair_search_skips_vertices_in_no_pair(monkeypatch):
+    # thinning leaves cycles of ears, so most vertices lie in no pair
+    g = ear_graph(1, 400)
+    thinned = g.subgraph(eid for eid, keep in enumerate(_needed_edges(g)) if keep)
+    corpus = [thinned, ear_graph(3, 120, window=6), *itertools.islice(_merge_corpus(), 80)]
+    real_find_pair, real_cut_gains = spqr._find_pair, spqr._cut_gains
+    runs = []
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            spqr, "_find_pair", lambda verts, pairs, clear=frozenset(): real_find_pair(verts, pairs)
+        )
+        want = [build_spqr(h) for h in corpus]
+    with monkeypatch.context() as patch:
+        patch.setattr(spqr, "_cut_gains", lambda *args: runs.append(1) or real_cut_gains(*args))
+        assert build_spqr(thinned) == want[0]
+    assert len(runs) <= 300  # 3291 without the pruning
+    for h, tree in zip(corpus, want):
+        assert build_spqr(h) == tree
 
 
 def test_k4_is_single_r_node():
