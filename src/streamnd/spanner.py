@@ -4,17 +4,18 @@ Each weight bucket holds an independent unweighted spanner: an arriving edge
 is kept iff removing some small set of vertices (or edges) from the bucket
 spanner would push its endpoints further apart than the hop threshold 2t-1.
 Two addition tests are provided: an exact one for either fault mode, and a
-path-peeling one for edge faults.  The exact one peels disjoint short paths
-first.  When that does not decide, at threshold 3 (t = 2) it computes the
-smallest cut of the u-v paths of at most 3 hops as one max-flow stopped at
-f+1; at any other threshold it branches on the vertices or edges of one
-surviving short path at a time.  Every hop query is one bounded
-`HopGraph.short_path`.
+path-peeling one for edge faults.  At threshold 3 (t = 2) the exact one
+computes the smallest cut of the u-v paths of at most 3 hops as one max-flow
+stopped at f+1, with no peeling first.  At any other threshold it peels
+disjoint short paths first, and when that does not decide it branches on the
+vertices or edges of one surviving short path at a time.  Every hop query is
+one bounded `HopGraph.short_path`.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -184,23 +185,24 @@ def ft_test_exact(h, u, v, f, t_threshold, mode):
     """Exact addition test: is there a fault set of size at most f whose
     removal pushes u and v more than t_threshold hops apart?
 
-    Peel up to f+1 disjoint short paths first (none: u and v are far, keep;
-    more than f: no fault set cuts them all, reject).  Otherwise, at
-    threshold 3, one max-flow stopped at f+1 gives the smallest cut
-    (`_three_hop_cut_fits`, no hop queries).  At any other threshold, branch
-    on the elements of one surviving short path: every cutting fault set
-    hits it, so at most sum_{i<=f} L^i further hop queries settle the
-    verdict, where a path has L <= t_threshold - 1 inner vertices (vertex
-    mode) or L <= t_threshold edges (edge mode); length-bounded cuts are
-    NP-hard from 4 hops (edge faults) and 5 hops (vertex faults)."""
+    At threshold 3, one max-flow stopped at f+1 gives the smallest cut
+    (`_three_hop_cut_fits`), with no peeling first and no hop queries; u == v
+    is a zero-hop path that no fault set cuts.  At any other threshold, peel
+    up to f+1 disjoint short paths first (none: u and v are far, keep; more
+    than f: no fault set cuts them all, reject), then branch on the elements
+    of one surviving short path: every cutting fault set hits it, so at most
+    sum_{i<=f} L^i further hop queries settle the verdict, where a path has
+    L <= t_threshold - 1 inner vertices (vertex mode) or L <= t_threshold
+    edges (edge mode); length-bounded cuts are NP-hard from 4 hops (edge
+    faults) and 5 hops (vertex faults)."""
     h = HopGraph.of(h)
+    if t_threshold == 3:
+        return u != v and _three_hop_cut_fits(h, u, v, f, mode)
     found = len(_greedy_disjoint_short_paths(h, u, v, t_threshold, mode, f + 1))
     if found == 0:
         return True
     if f == 0 or found > f:
         return False
-    if t_threshold == 3:
-        return _three_hop_cut_fits(h, u, v, f, mode)
     return _cut_exists(h, u, v, f, t_threshold, mode, (), ())
 
 
@@ -281,7 +283,7 @@ def ft_test_peeling_eft(h, u, v, f, t_threshold):
 
 class KeptEdge(NamedTuple):
     """One streamed edge with its position and bucket; an immutable NamedTuple
-    because one is built per stream item."""
+    because one is built per kept edge."""
 
     stream_index: int
     u: int
@@ -291,7 +293,12 @@ class KeptEdge(NamedTuple):
 
 
 class FtSpannerState:
-    """Per-bucket partial spanners fed by a single pass over weighted edges."""
+    """Per-bucket partial spanners fed by a single pass over weighted edges.
+
+    Only kept edges get a `KeptEdge` record.  Rejected edges are packed: their
+    stream index, endpoints and bucket go into one int64 array, four slots per
+    edge, and their weights (unbounded ints) into a plain list; `rejected`
+    rebuilds the records on each access."""
 
     def __init__(self, n, config, max_weight=None):
         if config.test_kind is None:
@@ -309,9 +316,9 @@ class FtSpannerState:
         self.scheme = BucketScheme(config.eps, max_weight)
         self.buckets = {}
         self.kept = []
-        self.rejected = []
+        self._rejected = array("q")  # stream index, u, v, bucket per rejected edge
+        self._rejected_w = []
         self.stored_edge_count = 0
-        self._index = 0
 
     def bucket(self, j):
         h = self.buckets.get(j)
@@ -325,21 +332,30 @@ class FtSpannerState:
         if u == v:
             raise ValueError(f"self-loop at vertex {u} cannot be a spanner edge")
         cfg = self.config
-        idx = self._index
-        self._index += 1
+        idx = self.stored_edge_count + len(self._rejected_w)
         h = self.bucket(j)
         if cfg.test_kind is TestKind.EXACT:
             keep = ft_test_exact(h, u, v, cfg.f, cfg.threshold, cfg.mode)
         else:
             keep = ft_test_peeling_eft(h, u, v, cfg.f, cfg.threshold)
-        rec = KeptEdge(idx, u, v, w, j)
         if keep:
             h.add_edge(u, v)
-            self.kept.append(rec)
+            self.kept.append(KeptEdge(idx, u, v, w, j))
             self.stored_edge_count += 1
         else:
-            self.rejected.append(rec)
+            self._rejected.extend((idx, u, v, j))
+            self._rejected_w.append(w)
         return keep
+
+    @property
+    def rejected(self):
+        """The rejected edges as `KeptEdge` records, in stream order; a new
+        list on each access."""
+        p = self._rejected
+        return [
+            KeptEdge(p[i], p[i + 1], p[i + 2], w, p[i + 3])
+            for i, w in zip(range(0, len(p), 4), self._rejected_w)
+        ]
 
     def spanner_graph(self, reliable=None):
         """The union of all bucket spanners as a weighted graph."""

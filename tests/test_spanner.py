@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from streamnd import (
 from streamnd.errors import ContractViolationError, ResourceLimitError
 from streamnd.spanner import (
     HopGraph,
+    KeptEdge,
     _cut_exists,
     _greedy_disjoint_short_paths,
     _three_hop_cut_fits,
@@ -97,6 +99,16 @@ def test_exact_agrees_with_independent_enumeration():
                     got = ft_test_exact(h, 0, g.n - 1, f, threshold, mode)
                     want = _naive_exact(plain, 0, g.n - 1, f, threshold, mode)
                     assert got == want, (seed, mode, f, threshold)
+
+
+def test_zero_hop_pair_is_never_cut():
+    # u = 1 has degree 2: an unguarded max-flow at threshold 3 would cut u
+    # from itself by its two edges once f >= 2
+    h = _hop([(0, 1), (1, 2), (2, 3)], 4)
+    for mode in (VF, EF):
+        for threshold in (1, 3, 5):
+            for f in range(5):
+                assert not ft_test_exact(h, 1, 1, f, threshold, mode), (mode, threshold, f)
 
 
 def test_peeling_trivial_cases():
@@ -294,6 +306,63 @@ def test_kept_ids_pinned(name):
         stream = EdgeStream.from_edges(g.n, g.edges, shuffle_seed=seed)
         kept.append(build_spanner(stream, cfg).kept_ids())
     assert short_digest(kept) == pin
+
+
+def _stream_records(state, items):
+    """(kept, rejected) KeptEdge lists recomputed from the streamed items
+    and the state's kept stream positions."""
+    kept_ids = set(state.kept_ids())
+    recs = [
+        KeptEdge(i, u, v, w, state.scheme.bucket_of(w)) for i, (u, v, w) in enumerate(items)
+    ]
+    return (
+        [r for r in recs if r.stream_index in kept_ids],
+        [r for r in recs if r.stream_index not in kept_ids],
+    )
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_PINS))
+def test_packed_rejected_records_match_the_stream(name):
+    _, cfg = KEPT_PINS[name]
+    for seed in range(12):
+        g = seeded_graph(seed + 300, 9 + seed % 4, p=0.85)
+        items = list(EdgeStream.from_edges(g.n, g.edges, shuffle_seed=seed))
+        state = build_spanner(EdgeStream(g.n, items), cfg)
+        kept, rejected = _stream_records(state, items)
+        assert state.kept == kept
+        assert state.rejected == rejected
+        assert len(kept) + len(rejected) == len(items)
+
+
+def test_huge_weight_round_trips_in_kept_and_rejected():
+    w = 2**80
+    state = FtSpannerState(2, FtConfig(f=0, t=2, mode=VF, eps=1, test_kind=TestKind.EXACT))
+    assert state.process_edge(0, 1, w)
+    assert not state.process_edge(1, 0, w)  # same bucket, already adjacent
+    j = state.scheme.bucket_of(w)
+    assert state.kept == [KeptEdge(0, 0, 1, w, j)]
+    assert state.rejected == [KeptEdge(1, 1, 0, w, j)]
+    assert state.rejected[0].w == w
+
+
+def test_rejected_edges_are_packed():
+    # K6 at f=0: after the first round of its 15 pairs every item is rejected;
+    # a KeptEdge record per rejected edge costs about 127 traced bytes, the
+    # packed store about 42
+    pairs = list(itertools.combinations(range(6), 2))
+    state = FtSpannerState(6, FtConfig(f=0, t=2, mode=VF, eps=THIRD, test_kind=TestKind.EXACT))
+    for u, v in pairs:
+        state.process_edge(u, v, 1)
+    items = 5000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(items):
+            assert not state.process_edge(*pairs[i % len(pairs)], 1)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown <= 64 * items, grown / items
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +571,10 @@ class _CountingHopGraph(HopGraph):
 
 
 def test_exact_hop_queries_are_bounded_by_path_branching():
-    # f+1 peeling queries, then (except at threshold 3) one query per node of
-    # a search tree that branches on the L elements of one short path:
-    # L = threshold edges in edge mode, threshold - 1 inner vertices in
-    # vertex mode
+    # none at threshold 3, where the max-flow decides alone; elsewhere f+1
+    # peeling queries, then one query per node of a search tree that
+    # branches on the L elements of one short path: L = threshold edges in
+    # edge mode, threshold - 1 inner vertices in vertex mode
     rng = random.Random(6)
     for _ in range(3000):
         n = rng.randint(4, 12)
@@ -519,7 +588,7 @@ def test_exact_hop_queries_are_bounded_by_path_branching():
         branch = threshold if mode is EF else threshold - 1
         ft_test_exact(h, u, v, f, threshold, mode)
         if threshold == 3:  # the max-flow makes no hop query
-            bound = f + 1
+            bound = 0
         else:
             bound = (f + 1) + sum(branch**i for i in range(f + 1))
         assert h.queries <= bound, (h.edges, u, v, mode, f, threshold, h.queries)
