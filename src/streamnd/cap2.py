@@ -9,10 +9,13 @@ node a streaming MST over its child subtrees, which a link enters only at the
 P node where its endpoints' top copies meet below two different children.
 Per S node it also keeps the extreme links seen from every cycle position,
 with dummy positions standing for whole subtrees hanging off virtual edges.
-Which cycle position each vertex falls on is read from the tree: one walk per
-vertex from its `h_map` node to the root.  An exact solver then picks the
-cheapest feasible subset of what was kept; that solve, the retained-set
-union, and `sol_from_opt`'s bucket lookup are shared with `cap1`.
+Each vertex keeps a side map of its positions at the S nodes that hold it and
+at the S nodes above its `h_map` node (one walk to the root); at every other
+S node it sits at the parent dummy, position 0.  So a link visits only the S
+nodes in its endpoints' side maps, and the state holds O(n * depth)
+positions.  An exact solver then picks the cheapest feasible subset of what
+was kept; that solve, the retained-set union, and `sol_from_opt`'s bucket
+lookup are shared with `cap1`.
 """
 
 from __future__ import annotations
@@ -27,49 +30,42 @@ from .spqr import VIRTUAL, build_spqr
 from .streams import item_bucket
 
 
-def _child_sides(tree):
-    """Per S node x, the vertices with no copy in x but copies below it, each
-    mapped to the child of x that holds them.  A vertex's copies form a
-    subtree topped by its h_map node, so the nodes that hold it below are
-    exactly that node's strict ancestors: one walk to the root per vertex,
-    O(n * depth) in all."""
-    parent, root = tree.parent, tree.root
-    below = {node.nid: {} for node in tree.nodes if node.kind == "S"}
+def _cycle_positions(tree, node):
+    """Cycle positions of an S node: original vertices ("v", z) interleaved
+    with one dummy ("d", ref) per virtual edge; the anchor dummy (parent
+    edge, or the lowest virtual edge on the root cycle) takes position 0."""
+    anchor_ref = tree.parent_vid[node.nid]
+    if anchor_ref is None:
+        anchor_ref = min((e.ref for e in node.virtual_edges()), default=None)
+    order, edges = node.cycle_order(anchor_ref)
+    pts = [] if anchor_ref is None else [("d", anchor_ref)]
+    for i, vert in enumerate(order):
+        pts.append(("v", vert))
+        if i < len(order) - 1 and edges[i].kind == VIRTUAL:
+            pts.append(("d", edges[i].ref))
+    return {pt: i for i, pt in enumerate(pts)}
+
+
+def _sides(tree):
+    """Per vertex z, its cycle position at each S node where that need not
+    be the parent dummy: its own position at every S node holding it, and at
+    every S node above its `h_map` node the dummy toward its copies.  The
+    copies form a subtree topped by that node, so those are exactly its
+    strict ancestors: one walk to the root per vertex.  Any other S node
+    sees z at its parent dummy, position 0; the root needs no default, as
+    every vertex has a copy in it or below it."""
+    pos = {node.nid: _cycle_positions(tree, node) for node in tree.nodes if node.kind == "S"}
+    parent, root, vid = tree.parent, tree.root, tree.parent_vid
+    sides = {}
     for z, x in tree.h_map.items():
+        side = sides[z] = {
+            nid: pos[nid][("v", z)] for nid in tree.nodes_of_vertex[z] if nid in pos
+        }
         while x != root:
             x, child = parent[x], x
-            if x in below:
-                below[x][z] = child
-    return below
-
-
-class _SNodeData:
-    """Cycle positions of one S node: original vertices interleaved with one
-    dummy per virtual edge; the anchor dummy (parent edge, or the lowest
-    virtual edge on the root cycle) takes position 0.  `fmap` sends every
-    vertex to its own point or to the dummy of the tree edge toward its
-    copies, read from the node's `_child_sides` map."""
-
-    def __init__(self, tree, node, below):
-        anchor_ref = tree.parent_vid[node.nid]
-        if anchor_ref is None:
-            virts = node.virtual_edges()
-            anchor_ref = min((e.ref for e in virts), default=None)
-        order, edges = node.cycle_order(anchor_ref)
-        pts = []
-        if anchor_ref is not None:
-            pts.append(("d", anchor_ref))
-        for i, vert in enumerate(order):
-            pts.append(("v", vert))
-            if i < len(order) - 1 and edges[i].kind == VIRTUAL:
-                pts.append(("d", edges[i].ref))
-        self.points = pts
-        self.pos = {pt: i for i, pt in enumerate(pts)}
-        # parent side for every vertex, then the sides below, then the node's own
-        vid = tree.parent_vid
-        self.fmap = dict.fromkeys(tree.h_map, ("d", vid[node.nid]))
-        self.fmap.update((z, ("d", vid[child])) for z, child in below.items())
-        self.fmap.update((z, ("v", z)) for z in node.vertices)
+            if x in pos:
+                side[x] = pos[x][("d", vid[child])]
+    return sides
 
 
 def _needed_edges(g):
@@ -103,11 +99,8 @@ class Cap2State:
         self.scheme = scheme
         is_p = tuple(node.kind == "P" for node in tree.nodes)
         self._core = LinkCore(tree, tree.h_map, tree.l_map, is_p)
-        self._minmax = {}  # (nid, point, bucket) -> [min (rec,pos), max (rec,pos)]
-        self._snodes = {
-            nid: _SNodeData(tree, tree.nodes[nid], below)
-            for nid, below in _child_sides(tree).items()
-        }
+        self._minmax = {}  # (nid, position, bucket) -> [min (rec,pos), max (rec,pos)]
+        self._sides = _sides(tree)
         for u, v, _ in removed:
             self._ingest(u, v, 0, 0, synthetic=True)
 
@@ -132,10 +125,10 @@ class Cap2State:
 
     # -- stream phase
 
-    def _update_minmax(self, nid, pt, j, rec, other_pos):
-        slot = self._minmax.get((nid, pt, j))
+    def _update_minmax(self, nid, pos, j, rec, other_pos):
+        slot = self._minmax.get((nid, pos, j))
         if slot is None:
-            self._minmax[(nid, pt, j)] = [(rec, other_pos), (rec, other_pos)]
+            self._minmax[(nid, pos, j)] = [(rec, other_pos), (rec, other_pos)]
             return
         if other_pos < slot[0][1]:
             slot[0] = (rec, other_pos)
@@ -146,12 +139,14 @@ class Cap2State:
         rec = self._core.add(u, v, w, j, synthetic)
         if rec is None:
             return
-        for nid, data in self._snodes.items():
-            pu, pv = data.fmap[u], data.fmap[v]
+        # an S node in neither side map sees both endpoints at its parent dummy
+        su, sv = self._sides[u], self._sides[v]
+        for nid in su.keys() | sv.keys():
+            pu, pv = su.get(nid, 0), sv.get(nid, 0)
             if pu == pv:
                 continue
-            self._update_minmax(nid, pu, j, rec, data.pos[pv])
-            self._update_minmax(nid, pv, j, rec, data.pos[pu])
+            self._update_minmax(nid, pu, j, rec, pv)
+            self._update_minmax(nid, pv, j, rec, pu)
 
     def process_link(self, u, v, w):
         j = item_bucket(self.base.n, self.scheme, u, v, w)
@@ -186,15 +181,16 @@ class Cap2State:
         Min/Max picks on the S node where the link's deepest copies meet,
         and, per endpoint, the Min pick on its `h_map` node (the one node
         holding it off its parent pair) if that is an S node whose subtree
-        the other endpoint leaves.
+        the other endpoint leaves.  Cycle positions are read from the side
+        maps, position 0 (the parent dummy) where a vertex has no entry.
         """
         tree = self.tree
 
-        def lookup_minmax(nid, pt, j, which):
-            slot = self._minmax.get((nid, pt, j))
+        def lookup_minmax(nid, pos, j, which):
+            slot = self._minmax.get((nid, pos, j))
             if slot is None:
                 raise ValueError(
-                    f"no stored extreme link at node {nid} point {pt} bucket {j}; "
+                    f"no stored extreme link at node {nid} position {pos} bucket {j}; "
                     "the optimum must be part of the processed stream"
                 )
             return slot[0][0] if which == "min" else slot[1][0]
@@ -204,16 +200,12 @@ class Cap2State:
         for u, v, j in opt:
             meet = tree.lca(tree.l_map[u], tree.l_map[v])
             if tree.nodes[meet].kind == "S":
-                data = self._snodes[meet]
-                pu, pv = data.pos[data.fmap[u]], data.pos[data.fmap[v]]
-                if pu < pv:
-                    picked.append(lookup_minmax(meet, data.fmap[v], j, "min"))
-                    picked.append(lookup_minmax(meet, data.fmap[u], j, "max"))
-                elif pv < pu:
-                    picked.append(lookup_minmax(meet, data.fmap[u], j, "min"))
-                    picked.append(lookup_minmax(meet, data.fmap[v], j, "max"))
+                pu, pv = self._sides[u].get(meet, 0), self._sides[v].get(meet, 0)
+                if pu != pv:
+                    picked.append(lookup_minmax(meet, max(pu, pv), j, "min"))
+                    picked.append(lookup_minmax(meet, min(pu, pv), j, "max"))
             for a, b in ((u, v), (v, u)):
                 x = tree.h_map[a]
-                if x in self._snodes and not tree.in_subtree(tree.l_map[b], x):
-                    picked.append(lookup_minmax(x, ("v", a), j, "min"))
+                if tree.nodes[x].kind == "S" and not tree.in_subtree(tree.l_map[b], x):
+                    picked.append(lookup_minmax(x, self._sides[a][x], j, "min"))
         return unique_links(picked)

@@ -44,9 +44,11 @@ def test_preprocess_cycle_base():
     state = Cap2State.from_base(cycle(5), scheme())
     assert [n.kind for n in state.tree.nodes] == ["S"]
     assert len(state.base.edges) == 5
-    data = state._snodes[0]
-    assert len(data.points) == 5  # no virtual edges, no dummies
-    assert all(pt[0] == "v" for pt in data.points)
+    pos = cap2._cycle_positions(state.tree, state.tree.nodes[0])
+    assert len(pos) == 5  # no virtual edges, no dummies
+    assert all(pt[0] == "v" for pt in pos)
+    # the lone S node holds every vertex, so each side map has its one entry
+    assert state._sides == {z: {0: pos[("v", z)]} for z in range(5)}
 
 
 def test_preprocess_removes_chord_and_matches_minimal_tree():
@@ -121,18 +123,27 @@ def test_dummy_positions_cover_virtual_edges():
     # C4 with a pendant triangle forces a split and dummies on both sides
     g = Graph.build(5, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (4, 2)])
     state = Cap2State.from_base(g, scheme())
-    for nid, data in state._snodes.items():
-        node = state.tree.nodes[nid]
-        dummies = {pt[1] for pt in data.points if pt[0] == "d"}
+    tree = state.tree
+    for node in tree.nodes:
+        if node.kind != "S":
+            continue
+        pos = cap2._cycle_positions(tree, node)
+        dummies = {pt[1] for pt in pos if pt[0] == "d"}
         assert dummies == {e.ref for e in node.virtual_edges()}
-        # position map is total over the base vertices
-        assert set(data.fmap) == set(range(g.n))
+        assert sorted(pos.values()) == list(range(len(pos)))
+        # the parent dummy is the default position 0
+        if node.nid != tree.root:
+            assert pos[("d", tree.parent_vid[node.nid])] == 0
+    # one side map per base vertex
+    assert set(state._sides) == set(range(g.n))
 
 
 def _reference_side_maps(tree):
-    """Reference for the S-node position maps and P-node supernode maps:
-    vertex sets per subtree, each child found through `tree_edges`, and the
-    parent side filled with the parent dummy."""
+    """Reference for the S-node side maps and P-node supernode maps: vertex
+    sets per subtree, each child found through `tree_edges`, and the parent
+    side filled with the parent dummy.  Returns the dense maps (per S node,
+    every vertex's cycle position), the per-vertex side maps (the same
+    positions without the parent-dummy entries) and the supernode maps."""
     subtree = {}
 
     def below(x):
@@ -143,7 +154,7 @@ def _reference_side_maps(tree):
             subtree[x] = frozenset(verts)
         return subtree[x]
 
-    fmaps, smaps = {}, {}
+    dense, sides, smaps = {}, {z: {} for z in tree.h_map}, {}
     for node in tree.nodes:
         nid = node.nid
         if node.kind == "P":
@@ -161,12 +172,15 @@ def _reference_side_maps(tree):
             for z in below(y if x == nid else x) - node.vertices:
                 assert fmap.get(z, ("d", e.ref)) == ("d", e.ref), "claimed twice"
                 fmap[z] = ("d", e.ref)
+        pos = cap2._cycle_positions(tree, node)
+        for z, pt in fmap.items():
+            sides[z][nid] = pos[pt]
         if parent_vid is not None:
             for z in set(tree.h_map) - below(nid):
                 fmap[z] = ("d", parent_vid)
         assert set(fmap) == set(tree.h_map)
-        fmaps[nid] = fmap
-    return fmaps, smaps
+        dense[nid] = {z: pos[pt] for z, pt in fmap.items()}
+    return dense, sides, smaps
 
 
 def _side_map_corpus():
@@ -187,12 +201,62 @@ def test_side_maps_match_subtree_vertex_sets():
     nodes = depth = 0
     for g in _side_map_corpus():
         state = Cap2State.from_base(g, scheme())
-        fmaps, _ = _reference_side_maps(state.tree)
-        assert {nid: data.fmap for nid, data in state._snodes.items()} == fmaps
-        nodes += len(fmaps)
+        dense, sides, _ = _reference_side_maps(state.tree)
+        assert state._sides == sides
+        nodes += len(dense)
         depth = max(depth, *state.tree.depth)
     # the corpus reaches deep trees with many S nodes
     assert nodes >= 1000 and depth >= 20
+
+
+def _minmax_by_scan(dense, links):
+    """Reference for the S-node Min/Max slots: every link visits every S
+    node and reads both endpoints' positions from the dense reference maps.
+    `links` holds (u, v, w, bucket, synthetic) in arrival order."""
+    minmax = {}
+    for lid, (u, v, w, j, synthetic) in enumerate(links):
+        rec = LinkRec(u, v, w, lid, synthetic)
+        for nid, fmap in dense.items():
+            pu, pv = fmap[u], fmap[v]
+            if pu == pv:  # a self-loop too
+                continue
+            for pos, other in ((pu, pv), (pv, pu)):
+                slot = minmax.get((nid, pos, j))
+                if slot is None:
+                    minmax[(nid, pos, j)] = [(rec, other), (rec, other)]
+                    continue
+                if other < slot[0][1]:
+                    slot[0] = (rec, other)
+                if other > slot[1][1]:
+                    slot[1] = (rec, other)
+    return minmax
+
+
+def test_side_map_links_match_the_scan_of_every_s_node():
+    slots = entries = dense_entries = 0
+    for seed, g in enumerate(_side_map_corpus()):
+        rng = random.Random(seed)
+        state = Cap2State.from_base(g, BucketScheme(HALF))
+        needed = cap2._needed_edges(g)
+        links = [(u, v, 0, 0, True) for (u, v, _), keep in zip(g.edges, needed) if not keep]
+        links += _random_stream(rng, state, g.n, per_vertex=3)
+        tree = state.tree
+        dense, _, _ = _reference_side_maps(tree)
+        assert state._minmax == _minmax_by_scan(dense, links), seed
+        slots += len(state._minmax)
+        # per vertex: its S holders, and at most one entry per strict ancestor
+        held = sum(
+            sum(tree.nodes[x].kind == "S" for x in tree.nodes_of_vertex[z])
+            + tree.depth[tree.h_map[z]]
+            for z in tree.h_map
+        )
+        size = sum(map(len, state._sides.values()))
+        assert size <= held
+        entries += size
+        dense_entries += sum(map(len, dense.values()))
+    # tens of thousands of slots, from far fewer side-map entries than the
+    # n * (#S nodes) dense positions
+    assert slots >= 40000 and 20000 <= entries <= dense_entries // 3
 
 
 def _child_below(tree, x, z):
@@ -232,7 +296,7 @@ def _cap2_reference(tree, links):
     """cap2's dictionary rule, with the LCA taken on both sides, and an MST
     insert at every P node whose supernode map (subtree vertex sets) puts
     the endpoints below two different children."""
-    _, smaps = _reference_side_maps(tree)
+    _, _, smaps = _reference_side_maps(tree)
     slots = {}
     msts = {nid: StreamingMst(tree.children[nid]) for nid in smaps}
     for lid, (u, v, w, j, synthetic) in enumerate(links):
@@ -269,11 +333,11 @@ def _reference_picks(tree, h, l, slots, msts, opt):
     return unique_links(picked)
 
 
-def _random_stream(rng, state, n):
-    """Feed 2n seeded links, a few self-loops among them, to the state;
-    returns them as (u, v, w, bucket, synthetic)."""
+def _random_stream(rng, state, n, per_vertex=2):
+    """Feed per_vertex * n seeded links, a few self-loops among them, to the
+    state; returns them as (u, v, w, bucket, synthetic)."""
     links = []
-    for _ in range(2 * n):
+    for _ in range(per_vertex * n):
         u, v, w = rng.randrange(n), rng.randrange(n), rng.randint(1, 40)
         state.process_link(u, v, w)
         links.append((u, v, w, state.scheme.bucket_of(w), False))
@@ -350,9 +414,9 @@ def test_single_s_node_minmax_updates():
     state = Cap2State.from_base(cycle(5), scheme())
     state.process_link(1, 3, 1)
     j = state.scheme.bucket_of(1)
-    lo, hi = state._minmax[(0, ("v", 1), j)]
+    lo, hi = state._minmax[(0, state._sides[1][0], j)]
     assert lo[0].triple() == (1, 3, 1) and hi[0].triple() == (1, 3, 1)
-    lo, hi = state._minmax[(0, ("v", 3), j)]
+    lo, hi = state._minmax[(0, state._sides[3][0], j)]
     assert lo[0].triple() == (1, 3, 1)
 
 
@@ -361,7 +425,7 @@ def test_minmax_tie_keeps_incumbent():
     state.process_link(1, 3, 1)
     state.process_link(3, 1, 1)  # same positions on the cycle, later arrival
     j = state.scheme.bucket_of(1)
-    lo, hi = state._minmax[(0, ("v", 1), j)]
+    lo, hi = state._minmax[(0, state._sides[1][0], j)]
     assert lo[0].lid == hi[0].lid == 0
 
 
@@ -473,15 +537,16 @@ def test_sol_from_opt_reads_records_and_triples_alike():
         assert picks and state.sol_from_opt(recs) == picks
 
 
-def _sol_from_opt_by_scan(state, opt):
+def _sol_from_opt_by_scan(state, opt, dense):
     """Reference for Cap2State.sol_from_opt: the Min pick for an endpoint a
     found by scanning every S node for one that holds a off its parent pair,
-    with the pair read from the node's parent virtual edge."""
+    with the pair read from the node's parent virtual edge, and positions
+    read from the dense reference maps."""
     tree = state.tree
     picked = []
 
-    def lookup_minmax(nid, pt, j, which):
-        slot = state._minmax.get((nid, pt, j))
+    def lookup_minmax(nid, pos, j, which):
+        slot = state._minmax.get((nid, pos, j))
         if slot is None:
             raise ValueError("no stored extreme link")
         return slot[0][0] if which == "min" else slot[1][0]
@@ -497,14 +562,13 @@ def _sol_from_opt_by_scan(state, opt):
             picked.append(state._core._dict[(tree.h_map[a], j)][0])
         meet = tree.lca(tree.l_map[u], tree.l_map[v])
         if tree.nodes[meet].kind == "S":
-            data = state._snodes[meet]
-            pu, pv = data.pos[data.fmap[u]], data.pos[data.fmap[v]]
-            if pu != pv:
-                lo, hi = (u, v) if pu < pv else (v, u)
-                picked.append(lookup_minmax(meet, data.fmap[hi], j, "min"))
-                picked.append(lookup_minmax(meet, data.fmap[lo], j, "max"))
+            fmap = dense[meet]
+            if fmap[u] != fmap[v]:
+                lo, hi = (u, v) if fmap[u] < fmap[v] else (v, u)
+                picked.append(lookup_minmax(meet, fmap[hi], j, "min"))
+                picked.append(lookup_minmax(meet, fmap[lo], j, "max"))
         for a, b in ((u, v), (v, u)):
-            for nid in state._snodes:
+            for nid in dense:
                 if a not in tree.nodes[nid].vertices:
                     continue
                 ppair = parent_pair(nid)
@@ -512,7 +576,7 @@ def _sol_from_opt_by_scan(state, opt):
                     continue
                 if tree.in_subtree(tree.l_map[b], nid):
                     continue
-                picked.append(lookup_minmax(nid, ("v", a), j, "min"))
+                picked.append(lookup_minmax(nid, dense[nid][a], j, "min"))
     for nid, mst in state._core._msts.items():
         good = {
             child
@@ -534,6 +598,7 @@ def test_sol_from_opt_matches_the_s_node_scan():
         g = ear_graph(seed, 12 + seed % 30, window=None if seed % 2 else 6)
         rng = random.Random(seed)
         state = Cap2State.from_base(g, BucketScheme(HALF))
+        dense, _, _ = _reference_side_maps(state.tree)
         links = []
         for _ in range(3 * g.n):
             u, v = rng.sample(range(g.n), 2)
@@ -541,7 +606,7 @@ def test_sol_from_opt_matches_the_s_node_scan():
             state.process_link(*links[-1])
         for _ in range(8):
             opt = rng.sample(links, rng.randint(1, 6))
-            assert state.sol_from_opt(opt) == _sol_from_opt_by_scan(state, opt), seed
+            assert state.sol_from_opt(opt) == _sol_from_opt_by_scan(state, opt, dense), seed
             calls += 1
     assert calls == 480
 
