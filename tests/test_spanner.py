@@ -285,26 +285,56 @@ def test_self_query_is_a_zero_hop_path():
     assert not h.within_hops(1, 1, 3, banned_vertices=[1])
 
 
-# Kept stream positions of small seeded builds, recorded before the exact test
-# was reordered (shortcut first, bounded candidate BFS, stamped hop BFS).
+def _pin_graph(seed):
+    return seeded_graph(seed + 300, 9 + seed % 4, p=0.85)
+
+
+def _pin_multigraph(seed):
+    """Seeded G(n, 0.85) on 16-19 vertices with weights 1..3, three buckets
+    at eps 1/3, and about a third of its edges doubled with their own weight."""
+    rng = random.Random(seed + 900)
+    n = 16 + seed % 4
+    edges = []
+    for a, b in itertools.combinations(range(n), 2):
+        if rng.random() < 0.85:
+            edges.append((a, b, rng.randint(1, 3)))
+            if rng.random() < 0.35:
+                edges.append((b, a, rng.randint(1, 3)))
+    return Graph.build(n, edges)
+
+
+# Kept stream positions of small seeded builds: the first three recorded
+# before the exact test was reordered (shortcut first, bounded candidate BFS,
+# stamped hop BFS), the last three before the hop BFS stamped v's neighbours.
 KEPT_PINS = {
-    "exact-vft": ("5c185a7f67cb4784", FtConfig(f=2, t=2, mode=VF, eps=THIRD, test_kind=TestKind.EXACT)),
-    "exact-eft": ("4b7cbae1a85fd72c", FtConfig(f=4, t=2, mode=EF, eps=THIRD, test_kind=TestKind.EXACT)),
+    "exact-vft": ("5c185a7f67cb4784", FtConfig(f=2, t=2, mode=VF, eps=THIRD, test_kind=TestKind.EXACT), _pin_graph),
+    "exact-eft": ("4b7cbae1a85fd72c", FtConfig(f=4, t=2, mode=EF, eps=THIRD, test_kind=TestKind.EXACT), _pin_graph),
     "peeling-eft": (
         "427a0fb857d5a301",
         FtConfig(f=4, t=2, mode=EF, eps=THIRD, test_kind=TestKind.PEELING_EFT),
+        _pin_graph,
+    ),
+    "exact-vft-t3": ("25432a34debb6d23", FtConfig(f=2, t=3, mode=VF, eps=THIRD, test_kind=TestKind.EXACT), _pin_graph),
+    "exact-eft-t3": ("00ff961683118a36", FtConfig(f=2, t=3, mode=EF, eps=THIRD, test_kind=TestKind.EXACT), _pin_graph),
+    "peeling-eft-multi": (
+        "47f1e967d1a4ba24",
+        FtConfig(f=2, t=2, mode=EF, eps=THIRD, test_kind=TestKind.PEELING_EFT),
+        _pin_multigraph,
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(KEPT_PINS))
 def test_kept_ids_pinned(name):
-    pin, cfg = KEPT_PINS[name]
-    kept = []
+    pin, cfg, graph = KEPT_PINS[name]
+    kept, buckets = [], set()
     for seed in range(12):
-        g = seeded_graph(seed + 300, 9 + seed % 4, p=0.85)
+        g = graph(seed)
         stream = EdgeStream.from_edges(g.n, g.edges, shuffle_seed=seed)
-        kept.append(build_spanner(stream, cfg).kept_ids())
+        state = build_spanner(stream, cfg)
+        kept.append(state.kept_ids())
+        buckets.update(e.bucket for e in state.kept)
+    assert len(buckets) >= (3 if graph is _pin_multigraph else 1)
     assert short_digest(kept) == pin
 
 
@@ -323,9 +353,9 @@ def _stream_records(state, items):
 
 @pytest.mark.parametrize("name", sorted(KEPT_PINS))
 def test_packed_rejected_records_match_the_stream(name):
-    _, cfg = KEPT_PINS[name]
+    _, cfg, graph = KEPT_PINS[name]
     for seed in range(12):
-        g = seeded_graph(seed + 300, 9 + seed % 4, p=0.85)
+        g = graph(seed)
         items = list(EdgeStream.from_edges(g.n, g.edges, shuffle_seed=seed))
         state = build_spanner(EdgeStream(g.n, items), cfg)
         kept, rejected = _stream_records(state, items)
@@ -610,6 +640,18 @@ def test_short_path_matches_reference_under_bans():
                 limit = rng.randint(0, 6)
                 bv = rng.sample(range(n), rng.randint(0, 2))
                 be = set(rng.sample(range(len(ref.edges)), min(len(ref.edges), rng.randint(0, 3))))
+                near = [(z, eid) for z, eid in ref.adj[y] if z not in (x, y)]
+                shape = rng.randrange(5)
+                if shape < 2:  # a self-loop at x or at y
+                    ref.add_edge(*[(x, y)[shape]] * 2)
+                    new.add_edge(*[(x, y)[shape]] * 2)
+                elif shape == 2 and near:  # a second z-y copy, the first banned
+                    z, eid = rng.choice(near)
+                    ref.add_edge(z, y)
+                    new.add_edge(z, y)
+                    be.add(min(e for w, e in ref.adj[y] if w == z))
+                elif shape == 3 and near:  # a banned neighbour of y
+                    bv.append(rng.choice(near)[0])
                 want = ref.short_path(x, y, limit, bv, be)
                 assert new.short_path(x, y, limit, bv, be) == want
                 assert new.within_hops(x, y, limit, bv, be) == ref.within_hops(x, y, limit, bv, be)
@@ -641,6 +683,13 @@ def _last_layer_shapes(d):
         # the first of two parallel x-v edges is banned
         ("parallel", walk + [(x, 1)], (), {d - 1}, d),
         ("parallel-both-banned", walk + [(x, 1)], (), {d - 1, d}, None),
+        # the first unbanned of three parallel x-v copies is the second
+        ("parallel-three", walk + [(x, 1), (x, 1)], (), {d - 1}, d),
+        ("parallel-three-two-banned", walk + [(x, 1), (x, 1)], (), {d - 1, d}, d),
+        ("self-loops", [(0, 0), *walk, (1, 1)], (), (), d),
+        ("self-loops-adjacent", [(1, 1), *walk, (0, 0), (0, 1)], (), (), 1),
+        # w, a banned neighbour of v, is found from x before v is
+        ("banned-neighbour-of-v", walk[:-1] + [(x, w), (w, 1), walk[-1]], {w}, (), d),
         ("adjacent", walk + [(0, 1)], (), (), 1),
         ("adjacent-banned", walk + [(0, 1)], (), {d}, d),
     ]
@@ -681,7 +730,7 @@ def test_short_path_last_layer_matches_reference():
                 ref, new = _both_graphs(n, all_edges)
                 u, v = label[0], label[1]
                 bans = ([label[y] for y in bv], {eid_of[i] for i in be})
-                for limit in range(4):
+                for limit in range(6):
                     want = ref.short_path(u, v, limit, *bans)
                     assert new.short_path(u, v, limit, *bans) == want, (name, d, limit, all_edges)
                     # each shape is what its name says: v lies dist hops away
