@@ -418,7 +418,7 @@ def main(argv=None):
         return 1 if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:  # ParseError is a ValueError
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InfeasibleError as exc:

@@ -9,7 +9,8 @@ computes the smallest cut of the u-v paths of at most 3 hops as one max-flow
 stopped at f+1, with no peeling first.  At any other threshold it peels
 disjoint short paths first, and when that does not decide it branches on the
 vertices or edges of one surviving short path at a time.  Every hop query is
-one bounded `HopGraph.short_path`.
+one bounded `HopGraph.short_path`: a BFS that stamps the target's neighbours
+first, checks each layer for one and never expands its last layer.
 """
 
 from __future__ import annotations
@@ -77,8 +78,9 @@ class FtConfig:
 class HopGraph:
     """Unweighted multigraph used for hop-distance queries inside buckets.
 
-    Queries mark visited vertices with a fresh stamp in `_mark` and keep BFS
-    parents in `_pv` / `_pe`, arrays reused across queries."""
+    Queries mark visited vertices with a fresh stamp in `_mark`, stamp the
+    target's neighbours in `_near` with their first edge to it in `_neid`,
+    and keep BFS parents in `_pv` / `_pe`, arrays reused across queries."""
 
     def __init__(self, n):
         self.n = n
@@ -86,6 +88,8 @@ class HopGraph:
         self.adj = [[] for _ in range(n)]
         self._stamp = 0
         self._mark = [0] * n
+        self._near = [0] * n
+        self._neid = [0] * n
         self._pv = [0] * n
         self._pe = [0] * n
 
@@ -112,11 +116,13 @@ class HopGraph:
     def short_path(self, u, v, limit, banned_vertices=(), banned_edges=()):
         """A shortest u-v path within the hop limit, as (vertices, edge ids);
         ([u], []) when u == v, None when there is none or u or v is banned.
-        Banned vertices are stamped as visited before the BFS starts.  The
-        last layer only looks for an unbanned edge to v, so the widest
-        layer writes no marks or parents; it finds the same first hit."""
+        Banned vertices are stamped as visited before the BFS starts, and
+        every vertex v reaches by an unbanned edge is stamped as near, with
+        its first such edge.  Each layer is checked for a near vertex before
+        it is expanded, so the last layer is never expanded; the first near
+        vertex of a layer is the BFS's first hit, through the same edge."""
         self._stamp = s = self._stamp + 1
-        mark, pv, pe, adj = self._mark, self._pv, self._pe, self.adj
+        mark, near, pv, pe, adj = self._mark, self._near, self._pv, self._pe, self.adj
         for x in banned_vertices:
             mark[x] = s
         if mark[u] == s or mark[v] == s:
@@ -127,26 +133,29 @@ class HopGraph:
             return None
         mark[u] = s
         be = banned_edges
+        neid = self._neid
+        for y, eid in adj[v]:  # in eid order, as in adj[y]
+            if near[y] != s and not (be and eid in be):
+                near[y] = s
+                neid[y] = eid
         frontier = [u]
-        for _ in range(limit - 1):
+        while frontier:
+            for x in frontier:
+                if near[x] == s:
+                    return self._trace(u, v, x, neid[x])
+            limit -= 1
+            if not limit:
+                return None
             nxt = []
             for x in frontier:
                 for y, eid in adj[x]:
                     if mark[y] == s or (be and eid in be):
                         continue
-                    if y == v:
-                        return self._trace(u, v, x, eid)
                     mark[y] = s
                     pv[y] = x
                     pe[y] = eid
                     nxt.append(y)
             frontier = nxt
-            if not frontier:
-                return None
-        for x in frontier:
-            for y, eid in adj[x]:
-                if y == v and not (be and eid in be):
-                    return self._trace(u, v, x, eid)
         return None
 
     def _trace(self, u, v, x, eid):

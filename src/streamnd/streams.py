@@ -33,7 +33,7 @@ class BucketScheme:
     """
 
     def __init__(self, eps, max_weight=None):
-        self.eps = Fraction(eps)
+        self.eps = eps if type(eps) is Fraction else Fraction(eps)
         p, q = self.eps.numerator, self.eps.denominator
         if p <= 0:
             raise ValueError("eps must be positive")

@@ -50,6 +50,19 @@ def test_missing_file_exits_one(tmp_path):
     assert "absent.txt" in err
 
 
+@pytest.mark.parametrize("side", ["input", "output"])
+def test_directory_path_exits_one(tmp_path, c4_file, side):
+    paths = {"input": c4_file, "output": str(tmp_path / "o.txt")}
+    paths[side] = str(tmp_path)
+    code, out, err = run_cli(
+        ["spanner", "--mode", "vft", "--f", "0", "--t", "1", "--eps", "1",
+         "-i", paths["input"], "-o", paths["output"]]
+    )
+    assert code == 1
+    assert out == "" and err.startswith("error: ")
+    assert str(tmp_path) in err and "Traceback" not in err
+
+
 def test_usage_error_exits_one():
     code, _, _ = run_cli(["spanner", "--bogus"])
     assert code == 1

@@ -643,8 +643,9 @@ def test_short_path_matches_reference_under_bans():
                 near = [(z, eid) for z, eid in ref.adj[y] if z not in (x, y)]
                 shape = rng.randrange(5)
                 if shape < 2:  # a self-loop at x or at y
-                    ref.add_edge(*[(x, y)[shape]] * 2)
-                    new.add_edge(*[(x, y)[shape]] * 2)
+                    z = (x, y)[shape]
+                    ref.add_edge(z, z)
+                    new.add_edge(z, z)
                 elif shape == 2 and near:  # a second z-y copy, the first banned
                     z, eid = rng.choice(near)
                     ref.add_edge(z, y)
