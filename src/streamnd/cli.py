@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -165,8 +166,17 @@ def _cmd_spanner(args):
         eps=args.eps,
         test_kind=TESTS[args.test] if args.test else None,
     )
-    with _Timer() as timer:
-        state = build_spanner(stream, config)
+    opened = []
+    try:
+        for path in (args.output, args.output + ".json"):
+            open(path, "w").close()  # an unusable -o fails before any edge is read
+            opened.append(path)
+        with _Timer() as timer:
+            state = build_spanner(stream, config)
+    except BaseException:
+        for path in opened:  # a failed run leaves no empty outputs behind
+            os.remove(path)
+        raise
     save_graph(state.spanner_graph(), args.output)
     sidecar = {
         "stored_edges": state.stored_edge_count,

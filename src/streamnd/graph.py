@@ -22,7 +22,12 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ParseError
+from .errors import ParseError, ResourceLimitError
+
+# Most vertices a graph file may declare.  Every state machine allocates
+# per-vertex lists up front, so a header of 10^9 vertices would ask for tens
+# of GB before the first edge is read.
+MAX_VERTICES = 1 << 20
 
 
 class ConnectivityMode(Enum):
@@ -458,7 +463,8 @@ def _data_lines(path):
 
 
 def parse_graph_file(path):
-    """Return (n, edges-in-file-order); self-loops are dropped."""
+    """Return (n, edges-in-file-order); self-loops are dropped.  A header
+    declaring more than MAX_VERTICES vertices raises ResourceLimitError."""
     lines = _data_lines(path)
     try:
         lineno, header = next(lines)
@@ -473,6 +479,8 @@ def parse_graph_file(path):
         raise ParseError(path, lineno, f"non-integer header {header!r}") from None
     if n < 1 or m < 0:
         raise ParseError(path, lineno, f"invalid sizes n={n} m={m}")
+    if n > MAX_VERTICES:
+        raise ResourceLimitError(f"{path}:{lineno}: n={n} exceeds {MAX_VERTICES} vertices")
     edges = []
     count = 0
     for lineno, line in lines:

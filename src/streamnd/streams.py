@@ -147,64 +147,63 @@ class StreamingMst:
     that closes a cycle evicts the maximum-weight cycle edge; among equal
     weights the most recently inserted edge is evicted, so the stored forest
     is deterministic in the arrival order.
+
+    The forest is kept as parent pointers: `_up[x]` is (parent, record of
+    the edge to it), or None at a root.  The cycle an insert closes is the
+    forest path a..b, found by walking up from a to its root and then from b
+    to the first node of a's walk.  An eviction clears the pointer on the
+    evicted edge's child end; a link everts a (reverses its root chain) and
+    hangs it under b.  An insert so costs O(depth of its tree), not
+    O(size of its component).
     """
 
     def __init__(self, nodes):
-        self.nodes = set(nodes)
-        self._adj = {x: [] for x in self.nodes}
+        self._up = dict.fromkeys(nodes)
         self._seq = 0
 
     def edges(self):
-        seen = {}
-        for recs in self._adj.values():
-            for rec in recs:
-                seen[rec.seq] = rec
-        return [seen[s] for s in sorted(seen)]
+        return sorted((link[1] for link in self._up.values() if link), key=lambda r: r.seq)
 
     def total_weight(self):
         return sum(rec.w for rec in self.edges())
 
     def _path(self, a, b):
-        """Tree path a..b as a list of records, or None if disconnected."""
-        parent = {a: None}
-        stack = [a]
-        while stack:
-            x = stack.pop()
-            if x == b:
-                break
-            for rec in self._adj[x]:
-                y = rec.b if rec.a == x else rec.a
-                if y not in parent:
-                    parent[y] = (x, rec)
-                    stack.append(y)
-        if b not in parent:
-            return None
-        path = []
-        x = b
-        while parent[x] is not None:
-            px, rec = parent[x]
-            path.append(rec)
-            x = px
-        return path
+        """Forest path a..b as a list of records, or None if disconnected."""
+        up, a_recs, x = self._up, [], a
+        pos = {a: 0}  # node of a's walk -> records from a to it
+        while up[x] is not None:
+            x, rec = up[x]
+            a_recs.append(rec)
+            pos[x] = len(a_recs)
+        b_recs, x = [], b
+        while x not in pos:
+            if up[x] is None:
+                return None
+            x, rec = up[x]
+            b_recs.append(rec)
+        return a_recs[: pos[x]] + b_recs
 
     def insert(self, a, b, w, payload=None):
         """Insert a link; returns the evicted record, or None if none."""
-        if a not in self.nodes or b not in self.nodes:
+        up = self._up
+        if a not in up or b not in up:
             raise ValueError(f"link endpoint outside the node universe: ({a!r},{b!r})")
         if a == b:
             raise ValueError("self-loops cannot join a spanning forest")
         rec = MstEdge(a, b, w, self._seq, payload)
         self._seq += 1
-        cycle = self._path(a, b)
-        if cycle is None:
-            self._adj[a].append(rec)
-            self._adj[b].append(rec)
-            return None
-        worst = max(cycle + [rec], key=lambda r: (r.w, r.seq))
-        if worst is rec:
-            return rec
-        self._adj[worst.a].remove(worst)
-        self._adj[worst.b].remove(worst)
-        self._adj[a].append(rec)
-        self._adj[b].append(rec)
+        cycle, worst = self._path(a, b), None
+        if cycle is not None:
+            worst = max(cycle + [rec], key=lambda r: (r.w, r.seq))
+            if worst is rec:
+                return rec
+            child = worst.a if up[worst.a] and up[worst.a][1] is worst else worst.b
+            up[child] = None
+        x, link = a, up[a]  # evert a: reverse the pointers on its root chain
+        while link is not None:
+            parent, edge = link
+            link = up[parent]
+            up[parent] = (x, edge)
+            x = parent
+        up[a] = (b, rec)
         return worst

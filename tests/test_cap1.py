@@ -296,3 +296,22 @@ def test_stored_within_space_bound_without_ceiling():
                 ([r.lid for r in res.stored], [r.lid for r in res.solution], res.weight)
             )
         assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize(
+    "shape, count, digest",
+    [("star", 734, "4185d557bc384994"), ("path", 723, "b0c80b4eabe0d4da")],
+)
+def test_stored_ids_pinned_on_wide_and_deep_trees(shape, count, digest):
+    # on a star every link between two leaves enters the one wide MST at the
+    # root; on a path every link meets at an endpoint and only the
+    # dictionaries keep it.  The ids were recorded with the DFS-based MST.
+    n = 400
+    pairs = [(0, i) for i in range(1, n)] if shape == "star" else [(i, i + 1) for i in range(n - 1)]
+    state = Cap1State.from_base(Graph.build(n, pairs), BucketScheme(HALF))
+    rng = random.Random(1)
+    for _ in range(2 * n):
+        u, v = rng.sample(range(n), 2)
+        state.process_link(u, v, rng.randint(1, 8))
+    lids = [r.lid for r in state.stored_links()]
+    assert len(lids) == count and short_digest(lids) == digest

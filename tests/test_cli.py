@@ -4,8 +4,10 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import streamnd.cli
 from streamnd import Family, Graph, InstanceGenerator, framework, generate, save_graph
 from streamnd.cli import main
+from streamnd.graph import parse_graph_file
 
 from conftest import short_digest
 
@@ -51,7 +53,10 @@ def test_missing_file_exits_one(tmp_path):
 
 
 @pytest.mark.parametrize("side", ["input", "output"])
-def test_directory_path_exits_one(tmp_path, c4_file, side):
+def test_directory_path_exits_one(tmp_path, c4_file, side, monkeypatch):
+    # both paths are opened before the build, so no edge is processed
+    builds = []
+    monkeypatch.setattr(streamnd.cli, "build_spanner", lambda *a: builds.append(a))
     paths = {"input": c4_file, "output": str(tmp_path / "o.txt")}
     paths[side] = str(tmp_path)
     code, out, err = run_cli(
@@ -61,6 +66,34 @@ def test_directory_path_exits_one(tmp_path, c4_file, side):
     assert code == 1
     assert out == "" and err.startswith("error: ")
     assert str(tmp_path) in err and "Traceback" not in err
+    assert builds == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spanner", "--mode", "vft", "--f", "1", "--t", "2", "--eps", "1/3",
+         "-i", "{huge}", "-o", "{out}"],
+        ["sndp", "--mode", "vc", "--t", "2", "--graph", "{huge}", "--req", "{req}"],
+        ["cap1", "--base", "{huge}", "--links", "{links}", "--eps", "1/2"],
+    ],
+    ids=["spanner", "sndp", "cap1"],
+)
+def test_vertex_count_guard_exits_three(tmp_path, argv):
+    # a header past graph.MAX_VERTICES is refused before any per-vertex list
+    # is built; the bound itself is accepted
+    paths = {
+        "huge": write(tmp_path / "huge.txt", "1048577 1\n0 1 1\n"),
+        "req": write(tmp_path / "req.txt", "0 1 1\n"),
+        "links": write(tmp_path / "links.txt", "4 0\n"),
+        "out": str(tmp_path / "h.txt"),
+    }
+    code, out, err = run_cli([arg.format(**paths) for arg in argv])
+    assert code == 3
+    assert out == "" and err.startswith("resource guard: ") and "Traceback" not in err
+    assert not (tmp_path / "h.txt").exists()
+    bound = write(tmp_path / "bound.txt", "1048576 0\n")
+    assert parse_graph_file(bound) == (1048576, [])
 
 
 def test_usage_error_exits_one():
@@ -134,7 +167,9 @@ def test_large_vertex_fault_budget_needs_an_explicit_test(tmp_path):
          "-i", graph, "-o", str(out_path)]
     )
     assert code == 1
+    # the outputs opened before the build are removed with the refusal
     assert out == "" and not out_path.exists()
+    assert not (tmp_path / "h.txt.json").exists()
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "--test exact" in lines[0]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from streamnd import BucketScheme, EdgeStream, StreamingMst, open_stream
 from streamnd.errors import ParseError, ResourceLimitError
-from streamnd.streams import MAX_BUCKETS
+from streamnd.streams import MAX_BUCKETS, MstEdge
 from streamnd.oracle import offline_mst_weight
 
 
@@ -220,6 +220,80 @@ def test_mst_matches_offline_kruskal():
             # prefix invariant: stored forest weight equals offline optimum
             assert mst.total_weight() == offline_mst_weight(range(n), links)
         assert len(mst.edges()) <= n - 1
+
+
+class _RefStreamingMst:
+    """The DFS-based StreamingMst the parent-pointer forest replaced: an
+    adjacency list per node and a search of the whole component per insert.
+    Kept as the reference for the differential test."""
+
+    def __init__(self, nodes):
+        self.nodes = set(nodes)
+        self._adj = {x: [] for x in self.nodes}
+        self._seq = 0
+
+    def edges(self):
+        seen = {}
+        for recs in self._adj.values():
+            for rec in recs:
+                seen[rec.seq] = rec
+        return [seen[s] for s in sorted(seen)]
+
+    def _path(self, a, b):
+        parent = {a: None}
+        stack = [a]
+        while stack:
+            x = stack.pop()
+            if x == b:
+                break
+            for rec in self._adj[x]:
+                y = rec.b if rec.a == x else rec.a
+                if y not in parent:
+                    parent[y] = (x, rec)
+                    stack.append(y)
+        if b not in parent:
+            return None
+        path = []
+        x = b
+        while parent[x] is not None:
+            px, rec = parent[x]
+            path.append(rec)
+            x = px
+        return path
+
+    def insert(self, a, b, w, payload=None):
+        rec = MstEdge(a, b, w, self._seq, payload)
+        self._seq += 1
+        cycle = self._path(a, b)
+        if cycle is None:
+            self._adj[a].append(rec)
+            self._adj[b].append(rec)
+            return None
+        worst = max(cycle + [rec], key=lambda r: (r.w, r.seq))
+        if worst is rec:
+            return rec
+        self._adj[worst.a].remove(worst)
+        self._adj[worst.b].remove(worst)
+        self._adj[a].append(rec)
+        self._adj[b].append(rec)
+        return worst
+
+
+def test_mst_matches_dfs_reference():
+    # every eviction and the final forest equal the DFS class's, with ties
+    # common (weights from ranges as narrow as 1..1) and tuple node ids
+    for seed in range(2400):
+        rng = random.Random(seed)
+        n = rng.randint(2, 14)
+        nodes = [(i, "x") for i in range(n)] if seed % 2 else list(range(n))
+        wmax = rng.choice((1, 2, 3, 8, 100))
+        mst, ref = StreamingMst(nodes), _RefStreamingMst(nodes)
+        for step in range(rng.randint(1, 4 * n)):
+            a, b = rng.sample(nodes, 2)
+            w, payload = rng.randint(1, wmax), ("p", step)
+            assert mst.insert(a, b, w, payload) == ref.insert(a, b, w, payload)
+        assert mst.edges() == ref.edges()
+        assert mst.total_weight() == sum(rec.w for rec in ref.edges())
 
 
 def test_stream_is_single_pass(tmp_path):
