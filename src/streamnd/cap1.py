@@ -21,7 +21,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .errors import InfeasibleError
-from .framework import exact_solve
+from .framework import check_branch_guard, exact_solve
 from .graph import (
     ConnectivityMode,
     Graph,
@@ -99,7 +99,9 @@ def solve_retained(n, base_pairs, stored, k):
     """Cheapest subset of the stored links that makes the base k-vertex-
     connected, by exact search with the base edges forced in at weight 0.
     Base re-entries (synthetic links) are free and left out of the reported
-    solution.  Raises ResourceLimitError past the solver's branching guard."""
+    solution.  Raises ResourceLimitError past the solver's branching guard,
+    before the graph and the requirement map are built."""
+    check_branch_guard(len(stored))
     base_edges = [(u, v, 0) for u, v in base_pairs]
     g = Graph.build(n, base_edges + [rec.triple() for rec in stored])
     req = RequirementMap.uniform(n, k)

@@ -59,7 +59,19 @@ class FrameworkConfig:
         return 8 * self.t if k <= 2 else None
 
 
-def exact_solve(g, req, mode, fixed=(), max_branch_edges=40):
+MAX_BRANCH_EDGES = 40  # the solver guard, shared by every exact solve
+
+
+def check_branch_guard(count, max_branch_edges=MAX_BRANCH_EDGES):
+    """Raise ResourceLimitError when `count` branching edges exceed the
+    solver guard."""
+    if count > max_branch_edges:
+        raise ResourceLimitError(
+            f"{count} branching edges exceeds the solver guard {max_branch_edges}"
+        )
+
+
+def exact_solve(g, req, mode, fixed=(), max_branch_edges=MAX_BRANCH_EDGES):
     """Minimum-weight feasible edge subset by branch and bound.
 
     Branching edges are ordered by decreasing weight; a branch is cut when it
@@ -77,13 +89,17 @@ def exact_solve(g, req, mode, fixed=(), max_branch_edges=40):
     when some x has fewer than d(x) undecided edges left.  A cut subtree holds
     no solution strictly lighter than the incumbent, and only a strictly
     lighter one replaces it, so the bound changes no result, only the work.
+
+    The same table screens feasibility queries: a node whose fixed and chosen
+    edges leave some d(x) > 0 cannot be feasible, so it branches without a
+    `check_feasible` call.  The first query, on every edge, is always made, so
+    a bad map still raises ValueError; and a skipped set, short in degree like
+    all its subsets, never holds a later "rest" query, which passes the degree
+    test, so no cache hit is lost and calls only go away.
     """
     fixed = frozenset(fixed)
     free = [i for i in range(len(g.edges)) if i not in fixed]
-    if len(free) > max_branch_edges:
-        raise ResourceLimitError(
-            f"{len(free)} branching edges exceeds the solver guard {max_branch_edges}"
-        )
+    check_branch_guard(len(free), max_branch_edges)
     free.sort(key=lambda i: (-g.edges[i][2], i))
     weights = [g.edges[i][2] for i in free]
     fixed_weight = sum(g.edges[i][2] for i in fixed)
@@ -143,13 +159,15 @@ def exact_solve(g, req, mode, fixed=(), max_branch_edges=40):
 
     def completion_bound(i, chosen):
         """Least weight that any feasible completion of `chosen` by edges of
-        free[i:] adds, or None if no completion is feasible."""
+        free[i:] adds, and whether `chosen` leaves some vertex short of its
+        need; None if no completion is feasible."""
         left = short[:]
         for e in chosen:
             u, v, _ = g.edges[e]
             left[u] -= 1
             left[v] -= 1
         total = 0
+        degree_short = False
         for x in needy:
             d = left[x]
             if d > 0:
@@ -157,7 +175,8 @@ def exact_solve(g, req, mode, fixed=(), max_branch_edges=40):
                 if len(pos) - bisect_left(pos, i) < d:
                     return None
                 total += cheapest_at[x][d]
-        return (total + 1) // 2
+                degree_short = True
+        return (total + 1) // 2, degree_short
 
     # depth-first over (next index, chosen ids, weight, whether chosen plus
     # free[i:] is known feasible), exclude branch before include branch
@@ -167,10 +186,13 @@ def exact_solve(g, req, mode, fixed=(), max_branch_edges=40):
         i, chosen, weight, rest_known_good = stack.pop()
         if best_weight is not None and weight >= best_weight:
             continue
-        extra = completion_bound(i, chosen)
-        if extra is None or (best_weight is not None and weight + extra >= best_weight):
+        bound = completion_bound(i, chosen)
+        if bound is None:
             continue
-        if feasible(base_ids + chosen):
+        extra, degree_short = bound
+        if best_weight is not None and weight + extra >= best_weight:
+            continue
+        if not degree_short and feasible(base_ids + chosen):
             best_weight, best_ids = weight, sorted(base_ids + chosen)
             continue
         if i == len(free):

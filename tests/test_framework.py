@@ -1,5 +1,6 @@
 import gc
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from streamnd import (
     build_spqr,
     check_feasible,
     exact_solve,
+    framework,
     generate,
     pair_connectivity,
     run_framework,
@@ -153,6 +155,144 @@ def test_exact_solve_corpus_is_pinned():
     assert any(len(set(g.edges)) < len(g.edges) for g, *_ in corpus)
     assert any(w == 0 for g, *_ in corpus for _, _, w in g.edges)
     assert max(len(g.edges) - len(set(fixed)) for g, _, _, fixed in corpus) >= 24
+
+
+def _ref_exact_solve(g, req, mode, fixed=(), max_branch_edges=40):
+    """`exact_solve` as it was before it skipped degree-short sets: every
+    node not cut by the bound asks `framework.check_feasible` about its
+    chosen set."""
+    fixed = frozenset(fixed)
+    free = [i for i in range(len(g.edges)) if i not in fixed]
+    if len(free) > max_branch_edges:
+        raise ResourceLimitError(
+            f"{len(free)} branching edges exceeds the solver guard {max_branch_edges}"
+        )
+    free.sort(key=lambda i: (-g.edges[i][2], i))
+    weights = [g.edges[i][2] for i in free]
+    fixed_weight = sum(g.edges[i][2] for i in fixed)
+    known_good = []
+    known_bad = []
+
+    def feasible(ids):
+        fs = frozenset(ids)
+        if any(good <= fs for good in known_good):
+            return True
+        if any(fs <= bad for bad in known_bad):
+            return False
+        ok = framework.check_feasible(g.subgraph(fs), req, mode)
+        if ok:
+            known_good[:] = [g_ for g_ in known_good if not fs <= g_]
+            known_good.append(fs)
+        else:
+            known_bad[:] = [b_ for b_ in known_bad if not b_ <= fs]
+            known_bad.append(fs)
+        return ok
+
+    base_ids = sorted(fixed)
+    if not feasible(base_ids + free):
+        raise InfeasibleError("no feasible edge subset exists in this graph")
+    short = [0] * g.n
+    for u, v, r in req.pairs():
+        if r:
+            short[u] = max(short[u], r)
+            short[v] = max(short[v], r)
+    for i in fixed:
+        u, v, _ = g.edges[i]
+        short[u] -= 1
+        short[v] -= 1
+    needy = [x for x in range(g.n) if short[x] > 0]
+    pos_at = {x: [] for x in needy}
+    for p, i in enumerate(free):
+        u, v, _ = g.edges[i]
+        if u in pos_at:
+            pos_at[u].append(p)
+        if v in pos_at:
+            pos_at[v].append(p)
+    cheapest_at = {}
+    for x, pos in pos_at.items():
+        sums = [0]
+        for p in reversed(pos):
+            sums.append(sums[-1] + weights[p])
+        cheapest_at[x] = sums
+
+    def completion_bound(i, chosen):
+        left = short[:]
+        for e in chosen:
+            u, v, _ = g.edges[e]
+            left[u] -= 1
+            left[v] -= 1
+        total = 0
+        for x in needy:
+            d = left[x]
+            if d > 0:
+                pos = pos_at[x]
+                if len(pos) - bisect_left(pos, i) < d:
+                    return None
+                total += cheapest_at[x][d]
+        return (total + 1) // 2
+
+    best_weight, best_ids = None, None
+    stack = [(0, [], fixed_weight, True)]
+    while stack:
+        i, chosen, weight, rest_known_good = stack.pop()
+        if best_weight is not None and weight >= best_weight:
+            continue
+        extra = completion_bound(i, chosen)
+        if extra is None or (best_weight is not None and weight + extra >= best_weight):
+            continue
+        if feasible(base_ids + chosen):
+            best_weight, best_ids = weight, sorted(base_ids + chosen)
+            continue
+        if i == len(free):
+            continue
+        if not rest_known_good and not feasible(base_ids + chosen + free[i:]):
+            continue
+        stack.append((i + 1, chosen + [free[i]], weight + weights[i], True))
+        stack.append((i + 1, chosen, weight, False))
+
+    if best_weight is None:
+        raise InfeasibleError("no feasible edge subset exists in this graph")
+    return tuple(best_ids), best_weight
+
+
+def _degree_short(g, req, edges):
+    """True iff some vertex has fewer incident `edges` than its largest
+    requirement."""
+    deg = [0] * g.n
+    for u, v, _ in edges:
+        deg[u] += 1
+        deg[v] += 1
+    return any(r > min(deg[u], deg[v]) for u, v, r in req.pairs())
+
+
+def test_exact_solve_skips_only_degree_short_feasibility_calls(monkeypatch):
+    # each solver's `check_feasible` calls, as the edge tuples it was asked
+    # about: the screen drops exactly the reference's degree-short sets after
+    # the first, map-validating call, and leaves every answer as it was
+    real = framework.check_feasible
+    calls = []
+
+    def recording(sub, req, mode):
+        calls.append(sub.edges)
+        return real(sub, req, mode)
+
+    monkeypatch.setattr(framework, "check_feasible", recording)
+    skipped = 0
+    for g, req, mode, fixed in solver_corpus(300):
+        runs = []
+        for solve in (_ref_exact_solve, exact_solve):
+            calls.clear()
+            try:
+                result = solve(g, req, mode, fixed)
+            except InfeasibleError:
+                result = "infeasible"
+            runs.append((result, list(calls)))
+        (ref_result, ref_calls), (result, new_calls) = runs
+        assert result == ref_result
+        kept = ref_calls[:1] + [s for s in ref_calls[1:] if not _degree_short(g, req, s)]
+        assert new_calls == kept
+        skipped += len(ref_calls) - len(new_calls)
+    assert skipped > 0
 
 
 def test_exact_solve_rejects_bad_maps_with_value_error():
