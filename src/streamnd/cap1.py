@@ -45,16 +45,14 @@ class RootedTree:
     children: tuple
 
     @staticmethod
-    def spanning(g, root=0):
-        """BFS spanning tree plus the ids of the non-tree edges."""
-        if not 0 <= root < g.n:
-            raise ValueError("root out of range")
-        parent, parent_eid, depth, children = root_tree(g.adjacency(), root)
+    def spanning(g):
+        """BFS spanning tree rooted at vertex 0, plus the non-tree edge ids."""
+        parent, parent_eid, depth, children = root_tree(g.adjacency(), 0)
         extras = ()
         if len(g.edges) >= g.n:  # n - 1 edges that connect g are all tree edges
             tree_eids = set(parent_eid)
             extras = tuple(i for i in range(len(g.edges)) if i not in tree_eids)
-        return RootedTree(g.n, root, parent, depth, children), extras
+        return RootedTree(g.n, 0, parent, depth, children), extras
 
     def edges(self):
         return tuple(
@@ -258,13 +256,13 @@ class Cap1State:
         self._core = LinkCore(tree, ids, ids, tree.children)
 
     @staticmethod
-    def from_base(g, scheme, root=0):
+    def from_base(g, scheme):
         """Accept any connected base on at least 3 vertices: fix a spanning
         tree, then replay the remaining base edges as weight-0 links ahead of
         the stream."""
         if g.n < 3:
             raise ValueError("need at least 3 vertices to aim for 2-connectivity")
-        tree, extras = RootedTree.spanning(g, root)
+        tree, extras = RootedTree.spanning(g)
         state = Cap1State(tree, scheme)
         for eid in extras:
             u, v, _ = g.edges[eid]

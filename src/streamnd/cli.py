@@ -65,10 +65,8 @@ def _ratio(sol_weight, opt_weight):
     return sol_weight / opt_weight
 
 
-def _emit(report, pretty, stream=None):
-    out = stream or sys.stdout
-    text = json.dumps(report, sort_keys=True, indent=2 if pretty else None)
-    out.write(text + "\n")
+def _emit(report, pretty):
+    print(json.dumps(report, sort_keys=True, indent=2 if pretty else None))
 
 
 class _Timer:
@@ -250,11 +248,17 @@ def _run_cap(name, base, links, eps, shuffle_seed=None, oracle=True):
     return report, timer.ms
 
 
+def _load_links(path, base):
+    """The links of a graph file, which must declare the base's vertex count."""
+    n, links = parse_graph_file(path)
+    if n != base.n:
+        raise ParseError(path, 1, f"links declare n={n}, base has n={base.n}")
+    return links
+
+
 def _cmd_cap(args):
     base = load_graph(args.base)
-    n, links = parse_graph_file(args.links)
-    if n != base.n:
-        raise ParseError(args.links, 1, f"links declare n={n}, base has n={base.n}")
+    links = _load_links(args.links, base)
     report, ms = _run_cap(args.command, base, links, args.eps, args.shuffle_seed, args.oracle)
     report.update(params={"eps": str(Fraction(args.eps)), "n": base.n}, wall_time_ms=ms)
     _emit(report, args.json_pretty)
@@ -263,7 +267,7 @@ def _cmd_cap(args):
 
 def _cmd_oracle(args):
     base = load_graph(args.base, args.reliability)
-    _, links = parse_graph_file(args.links)
+    links = _load_links(args.links, base)
     req = load_requirements(args.req, base.n)
     with _Timer() as timer:
         ids, weight = brute_optimal(base, links, req, MODES[args.mode])

@@ -62,22 +62,23 @@ class FrameworkConfig:
 MAX_BRANCH_EDGES = 40  # the solver guard, shared by every exact solve
 
 
-def check_branch_guard(count, max_branch_edges=MAX_BRANCH_EDGES):
+def check_branch_guard(count):
     """Raise ResourceLimitError when `count` branching edges exceed the
-    solver guard."""
-    if count > max_branch_edges:
+    solver guard, `MAX_BRANCH_EDGES` as read at call time."""
+    if count > MAX_BRANCH_EDGES:
         raise ResourceLimitError(
-            f"{count} branching edges exceeds the solver guard {max_branch_edges}"
+            f"{count} branching edges exceeds the solver guard {MAX_BRANCH_EDGES}"
         )
 
 
-def exact_solve(g, req, mode, fixed=(), max_branch_edges=MAX_BRANCH_EDGES):
+def exact_solve(g, req, mode, fixed=()):
     """Minimum-weight feasible edge subset by branch and bound.
 
     Branching edges are ordered by decreasing weight; a branch is cut when it
     is already feasible (supersets cost at least as much), when even keeping
     every remaining edge is infeasible, or when it cannot beat the incumbent.
-    Edges in `fixed` are forced into every solution.
+    Edges in `fixed` are forced into every solution; an id that is not an int
+    in 0..len(g.edges)-1 raises ValueError.
 
     The incumbent test uses a degree lower bound.  Every disjoint path leaves
     x on its own edge (in all three modes), so a solution gives x at least
@@ -98,8 +99,10 @@ def exact_solve(g, req, mode, fixed=(), max_branch_edges=MAX_BRANCH_EDGES):
     test, so no cache hit is lost and calls only go away.
     """
     fixed = frozenset(fixed)
+    if not all(isinstance(i, int) and 0 <= i < len(g.edges) for i in fixed):
+        raise ValueError(f"fixed edge ids must be ints in 0..{len(g.edges) - 1}")
     free = [i for i in range(len(g.edges)) if i not in fixed]
-    check_branch_guard(len(free), max_branch_edges)
+    check_branch_guard(len(free))
     free.sort(key=lambda i: (-g.edges[i][2], i))
     weights = [g.edges[i][2] for i in free]
     fixed_weight = sum(g.edges[i][2] for i in fixed)

@@ -86,8 +86,11 @@ class Graph:
         return adj
 
     def subgraph(self, edge_ids):
-        """Same vertex set, edges restricted to the given ids (order kept)."""
+        """Same vertex set, edges restricted to the given ids (order kept);
+        an id outside 0..len(edges)-1 raises ValueError."""
         keep = sorted(set(edge_ids))
+        if keep and not (0 <= keep[0] and keep[-1] < len(self.edges)):
+            raise ValueError(f"edge ids must lie in 0..{len(self.edges) - 1}")
         return Graph(self.n, tuple(self.edges[i] for i in keep), self.reliable)
 
 
@@ -371,15 +374,23 @@ def _build_net(g, mode):
     return net, out_id
 
 
-def _pair_flow(g, u, v, mode, limit=None):
-    net, out_id = _build_net(g, mode)
-    return net.max_flow(out_id[u], v, limit=limit)
-
-
 def pair_connectivity(g, u, v, mode):
     """Maximum number of pairwise disjoint u-v paths under the given mode."""
     _check_pair(g, u, v)
-    return _pair_flow(g, u, v, mode)
+    net, out_id = _build_net(g, mode)
+    return net.max_flow(out_id[u], v)
+
+
+def _flows_meet(g, needed, mode):
+    """True iff every (u, v, r) in `needed` has r disjoint u-v paths: one
+    network, reset before each pair, and one flow stopped at r per pair, in
+    the given order and with no shortcut, as the oracle relies on."""
+    net, out_id = _build_net(g, mode)
+    for u, v, r in needed:
+        net.reset()
+        if net.max_flow(out_id[u], v, limit=r) < r:
+            return False
+    return True
 
 
 def check_feasible(g, req, mode):
@@ -409,15 +420,7 @@ def check_feasible(g, req, mode):
         if level is not None:
             return _dfs_k_connected(g.adjacency(), level)
     needed.sort(key=lambda t: min(deg[t[0]], deg[t[1]]))
-    net, out_id = _build_net(g, mode)
-    first = True
-    for u, v, r in needed:
-        if not first:
-            net.reset()
-        first = False
-        if net.max_flow(out_id[u], v, limit=r) < r:
-            return False
-    return True
+    return _flows_meet(g, needed, mode)
 
 
 def is_k_connected(g, k, mode):
@@ -436,13 +439,8 @@ def is_k_connected(g, k, mode):
             return False
         if k <= 3:
             return _dfs_k_connected(g.adjacency(), k)
-    net, out_id = _build_net(g, mode)
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if net.max_flow(out_id[u], v, limit=k) < k:
-                return False
-            net.reset()
-    return True
+    pairs = ((u, v, k) for u in range(g.n) for v in range(u + 1, g.n))
+    return _flows_meet(g, pairs, mode)
 
 
 # ---------------------------------------------------------------------------

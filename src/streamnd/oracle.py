@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InfeasibleError, ResourceLimitError
-from .graph import ConnectivityMode, Graph, _build_net, is_k_connected
+from .graph import ConnectivityMode, Graph, _flows_meet, is_k_connected
 
 # unused here; perfbench/test_tracer.py checks that the tracer patches this binding
 from .graph import check_feasible  # noqa: F401
@@ -113,9 +113,9 @@ def max_disjoint_paths(g, u, v, mode):
 
 
 def _flow_feasible(g, req, mode):
-    """One max-flow per required pair on a network reset between pairs, with
-    none of `check_feasible`'s shortcuts, so that the oracle stays independent
-    of the solvers it checks."""
+    """One max-flow per required pair (`_flows_meet`), with none of
+    `check_feasible`'s shortcuts, so that the oracle stays independent of the
+    solvers it checks."""
     for u, v, _ in req.pairs():
         if not (0 <= u < g.n and 0 <= v < g.n):
             raise ValueError(f"requirement on ({u},{v}) names a vertex outside 0..{g.n - 1}")
@@ -125,15 +125,13 @@ def _flow_feasible(g, req, mode):
             raise ValueError(
                 f"element-connectivity requirement on non-reliable pair ({u},{v})"
             )
-    net, out_id = _build_net(g, mode)
-    for u, v, r in needed:
-        net.reset()
-        if net.max_flow(out_id[u], v, limit=r) < r:
-            return False
-    return True
+    return _flows_meet(g, needed, mode)
 
 
-def brute_optimal(base, links, req, mode, guard=22):
+MAX_ORACLE_LINKS = 22  # the oracle guard, read at call time
+
+
+def brute_optimal(base, links, req, mode):
     """Globally minimum-weight feasible link subset by subset enumeration.
 
     `base` edges are free and always present; `links` are (u, v, w) triples.
@@ -142,8 +140,8 @@ def brute_optimal(base, links, req, mode, guard=22):
     remaining link cannot make it feasible.
     """
     links = list(links)
-    if len(links) > guard:
-        raise ResourceLimitError(f"{len(links)} links exceeds the oracle guard {guard}")
+    if len(links) > MAX_ORACLE_LINKS:
+        raise ResourceLimitError(f"{len(links)} links exceeds the oracle guard {MAX_ORACLE_LINKS}")
 
     # feasibility is monotone in the link set: remember minimal feasible and
     # maximal infeasible sets to spare repeated flow computations

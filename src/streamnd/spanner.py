@@ -93,15 +93,6 @@ class HopGraph:
         self._pv = [0] * n
         self._pe = [0] * n
 
-    @staticmethod
-    def of(g):
-        if isinstance(g, HopGraph):
-            return g
-        h = HopGraph(g.n)
-        for u, v, *_ in g.edges:
-            h.add_edge(u, v)
-        return h
-
     def add_edge(self, u, v):
         eid = len(self.edges)
         self.edges.append((u, v))
@@ -203,8 +194,7 @@ def ft_test_exact(h, u, v, f, t_threshold, mode):
     sum_{i<=f} L^i further hop queries settle the verdict, where a path has
     L <= t_threshold - 1 inner vertices (vertex mode) or L <= t_threshold
     edges (edge mode); length-bounded cuts are NP-hard from 4 hops (edge
-    faults) and 5 hops (vertex faults)."""
-    h = HopGraph.of(h)
+    faults) and 5 hops (vertex faults).  `h` is the bucket's `HopGraph`."""
     if t_threshold == 3:
         return u != v and _three_hop_cut_fits(h, u, v, f, mode)
     found = len(_greedy_disjoint_short_paths(h, u, v, t_threshold, mode, f + 1))
@@ -284,9 +274,9 @@ def _cut_exists(h, u, v, budget, threshold, mode, bv, be):
 
 
 def ft_test_peeling_eft(h, u, v, f, t_threshold):
-    """Edge-fault test by path peeling: repeatedly find a short u-v path and
-    ban its edges; keep the edge iff some attempt (out of f+1) finds none."""
-    h = HopGraph.of(h)
+    """Edge-fault test by path peeling on the bucket's `HopGraph` h:
+    repeatedly find a short u-v path and ban its edges; keep the edge iff some
+    attempt (out of f+1) finds none."""
     return len(_greedy_disjoint_short_paths(h, u, v, t_threshold, FaultMode.EDGE, f + 1)) <= f
 
 
@@ -327,7 +317,6 @@ class FtSpannerState:
         self.kept = []
         self._rejected = array("q")  # stream index, u, v, bucket per rejected edge
         self._rejected_w = []
-        self.stored_edge_count = 0
 
     def bucket(self, j):
         h = self.buckets.get(j)
@@ -341,7 +330,7 @@ class FtSpannerState:
         if u == v:
             raise ValueError(f"self-loop at vertex {u} cannot be a spanner edge")
         cfg = self.config
-        idx = self.stored_edge_count + len(self._rejected_w)
+        idx = len(self.kept) + len(self._rejected_w)
         h = self.bucket(j)
         if cfg.test_kind is TestKind.EXACT:
             keep = ft_test_exact(h, u, v, cfg.f, cfg.threshold, cfg.mode)
@@ -350,11 +339,15 @@ class FtSpannerState:
         if keep:
             h.add_edge(u, v)
             self.kept.append(KeptEdge(idx, u, v, w, j))
-            self.stored_edge_count += 1
         else:
             self._rejected.extend((idx, u, v, j))
             self._rejected_w.append(w)
         return keep
+
+    @property
+    def stored_edge_count(self):
+        """The number of kept edges, the space the pass is charged for."""
+        return len(self.kept)
 
     @property
     def rejected(self):
@@ -386,11 +379,10 @@ def build_spanner(stream, config):
 
 def extract_disjoint_paths(h, u, v, count, hop_bound):
     """Peel `count` internally-vertex-disjoint u-v paths of at most
-    `hop_bound` hops each; raises ContractViolationError when peeling fails,
-    which signals a broken spanner."""
-    paths = _greedy_disjoint_short_paths(
-        HopGraph.of(h), u, v, hop_bound, FaultMode.VERTEX, count
-    )
+    `hop_bound` hops each from the bucket's `HopGraph` h; raises
+    ContractViolationError when peeling fails, which signals a broken
+    spanner."""
+    paths = _greedy_disjoint_short_paths(h, u, v, hop_bound, FaultMode.VERTEX, count)
     if len(paths) < count:
         raise ContractViolationError(
             f"only {len(paths)} of {count} disjoint paths of <= {hop_bound} hops "
@@ -429,7 +421,10 @@ def _weighted_adj(g, edge_ids):
     return adj
 
 
-def verify_ft_spanner(g, kept_ids, config, guard=10_000_000):
+MAX_VERIFY_CHECKS = 10_000_000  # fault sets x pairs, read at call time
+
+
+def verify_ft_spanner(g, kept_ids, config):
     """Exhaustively check the fault-tolerant stretch contract.
 
     For every fault set of size at most f and every surviving pair, the
@@ -446,7 +441,7 @@ def verify_ft_spanner(g, kept_ids, config, guard=10_000_000):
     max_size = min(f, len(universe))
     pairs = n * (n - 1) // 2
     total = sum(comb(len(universe), s) for s in range(max_size + 1))
-    if total * pairs > guard:
+    if total * pairs > MAX_VERIFY_CHECKS:
         raise ResourceLimitError(
             f"fault-set enumeration too large: {total} sets x {pairs} pairs"
         )

@@ -25,8 +25,8 @@ V = ConnectivityMode.VERTEX
 HALF = Fraction(1, 2)
 
 
-def _tree(edges, n, root=0):
-    tree, extras = RootedTree.spanning(Graph.build(n, edges), root)
+def _tree(edges, n):
+    tree, extras = RootedTree.spanning(Graph.build(n, edges))
     assert extras == ()
     return tree
 
@@ -64,8 +64,6 @@ def test_rooted_tree_validation():
     assert tree.parent == (0, 0, 0) and extras == (1,)
     with pytest.raises(ValueError):
         RootedTree.spanning(Graph.build(3, [(0, 1)]))
-    with pytest.raises(ValueError):
-        RootedTree.spanning(Graph.build(3, [(0, 1), (1, 2)]), root=3)
 
 
 def test_from_base_needs_three_vertices():

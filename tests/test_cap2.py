@@ -379,10 +379,12 @@ def test_link_core_matches_the_per_node_rules():
         n = rng.randint(3, 60)
         edges = [(rng.randrange(v), v) for v in range(1, n)]
         edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 4))]
-        g = Graph.build(n, edges)
+        # trees root at vertex 0: swap a random vertex into that place
         root = rng.randrange(n)
-        state = Cap1State.from_base(g, BucketScheme(HALF), root)
-        tree, extras = RootedTree.spanning(g, root)
+        swap = {0: root, root: 0}
+        g = Graph.build(n, [(swap.get(u, u), swap.get(v, v)) for u, v in edges])
+        state = Cap1State.from_base(g, BucketScheme(HALF))
+        tree, extras = RootedTree.spanning(g)
         links = [(*g.edges[eid][:2], 0, 0, True) for eid in extras]
         links += _random_stream(rng, state, n)
         slots, ref_msts = _cap1_reference(tree, links)

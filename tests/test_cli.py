@@ -307,6 +307,14 @@ C4 = "4 4\n0 1 1\n1 2 1\n2 3 1\n3 0 1\n"
             ["oracle", "--base", "{base}", "--links", "{links}", "--req", "{req}", "--mode", "vc"],
         ),
         (
+            {"base": C4, "links": "9 1\n0 8 5\n", "req": "0 2 2\n"},
+            ["oracle", "--base", "{base}", "--links", "{links}", "--req", "{req}", "--mode", "vc"],
+        ),
+        (
+            {"base": C4, "links": "2 1\n0 1 5\n", "req": "0 2 2\n"},
+            ["oracle", "--base", "{base}", "--links", "{links}", "--req", "{req}", "--mode", "vc"],
+        ),
+        (
             {"graph": "3 2\n0 1 1\n0 7 1\n"},
             ["spanner", "--mode", "vft", "--f", "1", "--t", "2", "--eps", "1/3", "--test", "exact",
              "-i", "{graph}", "-o", "{graph}.out"],
@@ -323,6 +331,8 @@ C4 = "4 4\n0 1 1\n1 2 1\n2 3 1\n3 0 1\n"
         "sndp-elc-req-vertex-outside-graph",
         "sndp-zero-req-vertex-outside-graph",
         "oracle-zero-req-vertex-outside-graph",
+        "oracle-links-on-more-vertices",
+        "oracle-links-on-fewer-vertices",
         "spanner-edge-outside-graph",
     ],
 )

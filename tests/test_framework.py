@@ -13,18 +13,26 @@ from streamnd import (
     ConnectivityMode,
     EdgeStream,
     Family,
+    FaultMode,
     FrameworkConfig,
+    FtConfig,
     Graph,
     InstanceGenerator,
     RequirementMap,
+    brute_optimal,
     build_spqr,
+    cap1,
     check_feasible,
     exact_solve,
     framework,
     generate,
+    oracle,
     pair_connectivity,
     run_framework,
+    spanner,
+    verify_ft_spanner,
 )
+from streamnd.cap1 import LinkRec, solve_retained
 from streamnd.errors import InfeasibleError, ResourceLimitError
 
 from conftest import (
@@ -98,14 +106,60 @@ def test_exact_solve_matches_naive_enumeration():
         done += 1
 
 
-def test_exact_solve_guard_and_fixed_edges():
+def test_exact_solve_guard_and_fixed_edges(monkeypatch):
     g = seeded_graph(3, 8, p=0.9)
+    monkeypatch.setattr(framework, "MAX_BRANCH_EDGES", 5)
     with pytest.raises(ResourceLimitError):
-        exact_solve(g, RequirementMap.uniform(8, 1), E, max_branch_edges=5)
+        exact_solve(g, RequirementMap.uniform(8, 1), E)
     # fixed edges are always part of the solution and their weight counts
     g = Graph.build(3, [(0, 1, 5), (1, 2, 5), (0, 2, 5)])
     ids, weight = exact_solve(g, RequirementMap.from_pairs([(0, 1, 1)]), E, fixed=[1])
     assert 1 in ids and weight == 10
+
+
+def _branching(count):
+    # `count` parallel edges, none fixed: each one branches
+    exact_solve(Graph.build(2, [(0, 1, 1)] * count), RequirementMap.from_pairs([(0, 1, 1)]), E)
+
+
+def _retained(count):
+    # the path 0-1-2 and `count` stored links 0-2, each a branching edge
+    solve_retained(3, [(0, 1), (1, 2)], [LinkRec(0, 2, 1, i) for i in range(count)], 2)
+
+
+def _links(count):
+    req = RequirementMap.from_pairs([(0, 1, 1)])
+    brute_optimal(Graph.build(2, []), [(0, 1, 1)] * count, req, E)
+
+
+def _checks(count):
+    # count - 1 parallel edges and one edge fault: count fault sets x 1 pair
+    g = Graph.build(2, [(0, 1, 1)] * (count - 1))
+    verify_ft_spanner(g, range(count - 1), FtConfig(f=1, t=1, mode=FaultMode.EDGE, eps=1))
+
+
+@pytest.mark.parametrize(
+    "module, name, run",
+    [
+        (framework, "MAX_BRANCH_EDGES", _branching),
+        (framework, "MAX_BRANCH_EDGES", _retained),
+        (oracle, "MAX_ORACLE_LINKS", _links),
+        (spanner, "MAX_VERIFY_CHECKS", _checks),
+    ],
+    ids=["exact_solve", "solve_retained", "brute_optimal", "verify_ft_spanner"],
+)
+def test_size_guards_admit_their_limit_and_refuse_one_more(monkeypatch, module, name, run):
+    # each guard is read when it is called, so a patched limit holds
+    monkeypatch.setattr(module, name, 4)
+    run(4)
+    maps = []
+    real = cap1.RequirementMap.uniform
+    monkeypatch.setattr(
+        cap1.RequirementMap, "uniform", staticmethod(lambda *a: maps.append(a) or real(*a))
+    )
+    with pytest.raises(ResourceLimitError):
+        run(5)
+    assert maps == []  # solve_retained refuses before it builds the solve
 
 
 def solver_corpus(count):
@@ -309,6 +363,12 @@ def test_exact_solve_rejects_bad_maps_with_value_error():
         with pytest.raises(ValueError, match="vertex out of range"):
             exact_solve(g, RequirementMap.from_pairs([(0, 1, 1), (0, 9, 0)]), mode)
     assert exact_solve(g, RequirementMap.from_pairs([(0, 1, 1), (0, 2, 0)]), E) == ((0,), 1)
+    # fixed edge ids must be ints naming an edge: -1 would silently fix the
+    # last edge, 3 would index past the end
+    tri = Graph.build(3, [(0, 1, 5), (1, 2, 5), (0, 2, 4)])
+    for bad in ([-1], [3], [1.0], ["0"]):
+        with pytest.raises(ValueError, match="fixed edge ids"):
+            exact_solve(tri, RequirementMap.from_pairs([(0, 1, 1)]), E, fixed=bad)
 
 
 def test_framework_single_edge():

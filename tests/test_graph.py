@@ -19,7 +19,6 @@ from streamnd import (
 )
 from streamnd import graph
 from streamnd.errors import ParseError
-from streamnd.graph import _pair_flow
 from streamnd.oracle import max_disjoint_paths
 
 from conftest import connected_after_removal, ear_graph, seeded_graph
@@ -114,7 +113,7 @@ def test_is_k_connected_matches_fault_enumeration():
 def _flow_k_connected(g, k):
     """Reference: every vertex pair has k disjoint paths by unit max-flow."""
     return all(
-        _pair_flow(g, u, v, V, limit=k) >= k
+        pair_connectivity(g, u, v, V) >= k
         for u, v in itertools.combinations(range(g.n), 2)
     )
 
@@ -214,7 +213,7 @@ def test_dfs_connectivity_fixed_cases(monkeypatch):
             pairs = [(u, v, 3) for u, v in itertools.combinations(range(4), 2)]
             pairs[-1] = (2, 3, r)
             req = RequirementMap.from_pairs(pairs)
-            want = all(_pair_flow(g, u, v, V) >= r for u, v, r in req.pairs())
+            want = all(pair_connectivity(g, u, v, V) >= r for u, v, r in req.pairs())
             assert check_feasible(g, req, V) == want
     # one value on only some pairs is not uniform either
     partial = RequirementMap.from_pairs([(0, 1, 2), (0, 2, 2), (1, 2, 2)])
@@ -284,6 +283,10 @@ def test_graph_normalization():
         Graph.build(2, [(0, 3)])
     with pytest.raises(ValueError):
         Graph.build(2, [(0, 1, -1)])
+    # subgraph ids must name edges: -1 would pick the last one first
+    for bad in ([-1, 0], [0, 2], [2]):
+        with pytest.raises(ValueError, match="edge ids"):
+            g.subgraph(bad)
 
 
 def test_graph_build_rejects_non_int_endpoints():

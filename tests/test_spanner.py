@@ -91,7 +91,7 @@ def test_exact_pigeonhole_refutation():
 def test_exact_agrees_with_independent_enumeration():
     for seed in range(25):
         g = seeded_graph(seed, 5 + seed % 4, p=0.5)
-        h = HopGraph.of(g)
+        h = _hop([(a, b) for a, b, _ in g.edges], g.n)
         plain = Graph.build(g.n, [(u, v) for u, v, _ in g.edges])
         for mode in (VF, EF):
             for f in (0, 1, 2):
@@ -663,7 +663,7 @@ def test_short_path_on_hop_graph_of_graph():
     for seed in range(20):
         g = seeded_graph(seed + 700, 8, p=0.5)
         ref, new = _both_graphs(g.n, [(a, b) for a, b, _ in g.edges])
-        h = HopGraph.of(g)
+        h = _hop([(a, b) for a, b, _ in g.edges], g.n)
         for x, y in itertools.combinations(range(g.n), 2):
             for limit in (1, 2, 4):
                 assert h.short_path(x, y, limit) == ref.short_path(x, y, limit)
