@@ -96,7 +96,9 @@ def _build_parser():
     p.add_argument("--f", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--eps", type=_fraction, required=True)
-    p.add_argument("--test", choices=TESTS, default=None)
+    p.add_argument(
+        "--test", choices=TESTS, help="default: exact if t <= 2, f <= 3 or n <= 12, else peeling"
+    )
     p.add_argument("--shuffle-seed", type=int, default=None)
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", required=True)
@@ -213,6 +215,7 @@ def _cmd_sndp(args):
             "f": cfg.fault_budget(req.k),
             "eps": str(cfg.eps),
             "k": req.k,
+            "test": result.test_kind.value,
         },
         "stored_edges": result.stored_edges,
         "sol_weight": result.weight,

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import InfeasibleError, ResourceLimitError
 from .graph import ConnectivityMode, Graph, check_feasible
-from .spanner import FaultMode, FtConfig, TestKind, build_spanner
+from .spanner import FaultMode, FtConfig, build_spanner
 
 
 class Analysis(Enum):
@@ -218,22 +218,20 @@ class FrameworkResult:
     stored_edges: int
     solution: tuple  # (u, v, w) triples from the spanner
     weight: int
+    test_kind: object  # the spanner's addition test, a spanner.TestKind
 
 
 def run_framework(stream, req, cfg, reliable=None):
     """Single pass: keep a fault-tolerant spanner sized for the requirements,
-    then solve exactly on it.  Raises InfeasibleError when even the full
-    spanner cannot meet the requirements (only possible if the input cannot)."""
-    k = req.k
-    ft = FtConfig(
-        f=cfg.fault_budget(k),
-        t=cfg.t,
-        mode=cfg.fault_mode(),
-        eps=cfg.eps,
-        test_kind=TestKind.EXACT,
-    )
+    then solve exactly on it.  The spanner picks its addition test as
+    `FtSpannerState` does for an unset `test_kind`.  Raises InfeasibleError
+    when even the full spanner cannot meet the requirements (only possible if
+    the input cannot)."""
+    ft = FtConfig(f=cfg.fault_budget(req.k), t=cfg.t, mode=cfg.fault_mode(), eps=cfg.eps)
     state = build_spanner(stream, ft)
     spanner = state.spanner_graph(reliable=reliable)
     ids, weight = exact_solve(spanner, req, cfg.mode)
     solution = tuple(spanner.edges[i] for i in ids)
-    return FrameworkResult(spanner, state.stored_edge_count, solution, weight)
+    return FrameworkResult(
+        spanner, state.stored_edge_count, solution, weight, state.config.test_kind
+    )

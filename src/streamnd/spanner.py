@@ -3,8 +3,9 @@
 Each weight bucket holds an independent unweighted spanner: an arriving edge
 is kept iff removing some small set of vertices (or edges) from the bucket
 spanner would push its endpoints further apart than the hop threshold 2t-1.
-Two addition tests are provided: an exact one for either fault mode, and a
-path-peeling one for edge faults.  At threshold 3 (t = 2) the exact one
+Two addition tests are provided for either fault mode: an exact one, and a
+path-peeling one that keeps an edge iff fewer than f+1 disjoint short paths
+peel (Dinitz-Robelle, PODC 2020).  At threshold 3 (t = 2) the exact one
 computes the smallest cut of the u-v paths of at most 3 hops as one max-flow
 stopped at f+1, with no peeling first.  At any other threshold it peels
 disjoint short paths first, and when that does not decide it branches on the
@@ -50,8 +51,8 @@ class FtConfig:
     spanner has weighted stretch (1+eps)(2t-1).  test_kind None lets the
     builder pick the exact test for t <= 2, where it is polynomial (one
     max-flow at t = 2, a single branch per fault at t = 1), and for t >= 3
-    when f <= 3 or n <= 12; beyond that the caller must choose a test
-    explicitly.
+    when f <= 3 or n <= 12; beyond that it picks path peeling, which is
+    polynomial in either fault mode, so the automatic choice never refuses.
     """
 
     f: int
@@ -65,8 +66,6 @@ class FtConfig:
             raise ValueError("fault budget f must be nonnegative")
         if self.t < 1:
             raise ValueError("stretch parameter t must be at least 1")
-        if self.test_kind is TestKind.PEELING_EFT and self.mode is not FaultMode.EDGE:
-            raise ValueError("the peeling test applies to edge faults only")
         if Fraction(self.eps) <= 0:
             raise ValueError("eps must be positive")
 
@@ -200,7 +199,7 @@ def ft_test_exact(h, u, v, f, t_threshold, mode):
     found = len(_greedy_disjoint_short_paths(h, u, v, t_threshold, mode, f + 1))
     if found == 0:
         return True
-    if f == 0 or found > f:
+    if found > f:
         return False
     return _cut_exists(h, u, v, f, t_threshold, mode, (), ())
 
@@ -273,11 +272,11 @@ def _cut_exists(h, u, v, budget, threshold, mode, bv, be):
     )
 
 
-def ft_test_peeling_eft(h, u, v, f, t_threshold):
-    """Edge-fault test by path peeling on the bucket's `HopGraph` h:
-    repeatedly find a short u-v path and ban its edges; keep the edge iff some
-    attempt (out of f+1) finds none."""
-    return len(_greedy_disjoint_short_paths(h, u, v, t_threshold, FaultMode.EDGE, f + 1)) <= f
+def ft_test_peeling_eft(h, u, v, f, t_threshold, mode):
+    """Path-peeling test on the bucket's `HopGraph` h, for either fault mode:
+    repeatedly find a short u-v path and ban its inner vertices (vertex mode)
+    or its edges; keep the edge iff some attempt (out of f+1) finds none."""
+    return len(_greedy_disjoint_short_paths(h, u, v, t_threshold, mode, f + 1)) <= f
 
 
 class KeptEdge(NamedTuple):
@@ -301,15 +300,9 @@ class FtSpannerState:
 
     def __init__(self, n, config, max_weight=None):
         if config.test_kind is None:
-            if config.t <= 2 or config.f <= 3 or n <= 12:
-                config = replace(config, test_kind=TestKind.EXACT)
-            else:
-                raise ValueError(
-                    "for t >= 3, f > 3 and n > 12 the exact test branches over up "
-                    "to (2t-1)^f fault sets; pass TestKind.EXACT, or "
-                    "TestKind.PEELING_EFT for edge faults, explicitly "
-                    "(--test exact|peeling)"
-                )
+            exact = config.t <= 2 or config.f <= 3 or n <= 12
+            kind = TestKind.EXACT if exact else TestKind.PEELING_EFT
+            config = replace(config, test_kind=kind)
         self.n = n
         self.config = config
         self.scheme = BucketScheme(config.eps, max_weight)
@@ -335,7 +328,7 @@ class FtSpannerState:
         if cfg.test_kind is TestKind.EXACT:
             keep = ft_test_exact(h, u, v, cfg.f, cfg.threshold, cfg.mode)
         else:
-            keep = ft_test_peeling_eft(h, u, v, cfg.f, cfg.threshold)
+            keep = ft_test_peeling_eft(h, u, v, cfg.f, cfg.threshold, cfg.mode)
         if keep:
             h.add_edge(u, v)
             self.kept.append(KeptEdge(idx, u, v, w, j))
@@ -429,11 +422,14 @@ def verify_ft_spanner(g, kept_ids, config):
 
     For every fault set of size at most f and every surviving pair, the
     spanner distance must be at most (2t-1)(1+eps) times the distance in the
-    faulted input graph (weighted distances).  `kept_ids` are edge ids of g.
+    faulted input graph (weighted distances).  `kept_ids` are edge ids of g;
+    an id that is not an int in 0..len(g.edges)-1 raises ValueError.
     """
     n = g.n
     f = config.f
     kept = set(kept_ids)
+    if not all(isinstance(i, int) and 0 <= i < len(g.edges) for i in kept):
+        raise ValueError(f"kept edge ids must be ints in 0..{len(g.edges) - 1}")
     if config.mode is FaultMode.VERTEX:
         universe = list(range(n))
     else:

@@ -8,6 +8,7 @@ import pytest
 
 import streamnd.cap1
 import streamnd.cli
+import streamnd.spanner
 from streamnd import Family, Graph, InstanceGenerator, framework, generate, save_graph
 from streamnd.cli import main
 from streamnd.graph import parse_graph_file
@@ -161,7 +162,7 @@ def test_bad_seed_range_is_a_usage_error(seeds):
     assert f"bad seed range {seeds!r}" in err
 
 
-def test_large_vertex_fault_budget_needs_an_explicit_test(tmp_path):
+def test_large_vertex_fault_budget_picks_peeling(tmp_path):
     ring = "".join(f"{i} {(i + 1) % 13} 1\n" for i in range(13))
     graph = write(tmp_path / "ring.txt", f"13 13\n{ring}")
     out_path = tmp_path / "h.txt"
@@ -169,13 +170,14 @@ def test_large_vertex_fault_budget_needs_an_explicit_test(tmp_path):
         ["spanner", "--mode", "vft", "--f", "4", "--t", "3", "--eps", "1/3",
          "-i", graph, "-o", str(out_path)]
     )
-    assert code == 1
-    # the outputs opened before the build are removed with the refusal
-    assert out == "" and not out_path.exists()
-    assert not (tmp_path / "h.txt.json").exists()
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "--test exact" in lines[0]
+    assert code == 0, err
+    sidecar = json.loads((tmp_path / "h.txt.json").read_text())
+    assert sidecar["params"]["test"] == "peeling"
+    code, out, err = run_cli(
+        ["verify-spanner", "--graph", graph, "--spanner", str(out_path),
+         "--mode", "vft", "--f", "4", "--t", "3", "--eps", "1/3"]
+    )
+    assert code == 0, err
 
 
 def test_large_fault_budget_at_t2_picks_the_exact_test(tmp_path):
@@ -202,6 +204,33 @@ def test_sndp_with_oracle(tmp_path, c4_file):
     report = json.loads(out)
     assert report["ratio"] is not None and report["ratio"] <= 8 * 2
     assert report["factor_bound"] == 16
+
+
+def test_sndp_reports_the_test_that_ran(tmp_path, c4_file):
+    ring = "".join(f"{i} {(i + 1) % 13} 1\n" for i in range(13))
+    graph = write(tmp_path / "ring.txt", f"13 13\n{ring}")
+    req = write(tmp_path / "req.txt", "0 1 1\n")
+    # f = 3 at t = 2 on C4; f = 5 at t = 3 on the 13-ring, past the exact cases
+    for path, t, test in ((c4_file, "2", "exact"), (graph, "3", "peeling")):
+        code, out, err = run_cli(["sndp", "--mode", "ec", "--t", t, "--graph", path, "--req", req])
+        assert code == 0, err
+        assert json.loads(out)["params"]["test"] == test
+
+
+def test_ec_sndp_at_t3_never_branches(tmp_path, monkeypatch):
+    # f = 15 on G(24, 0.5): the exact test would branch over fault sets of
+    # up to 15 edges; peeling keeps more edges than the solver guard allows
+    def branch(*args):
+        raise AssertionError("the exact test branched")
+
+    monkeypatch.setattr(streamnd.spanner, "_cut_exists", branch)
+    graph = tmp_path / "g24.txt"
+    gen = InstanceGenerator(seed=1, family=Family.GNP, n=24, edge_prob=0.5, weight_lo=1, weight_hi=1)
+    save_graph(generate(gen).base, graph)
+    req = write(tmp_path / "req.txt", "0 1 2\n")
+    code, out, err = run_cli(["sndp", "--mode", "ec", "--t", "3", "--graph", str(graph), "--req", req])
+    assert code == 3 and out == ""
+    assert err.startswith("resource guard: ")
 
 
 def test_sndp_infeasible_exits_two(tmp_path):
@@ -364,6 +393,8 @@ def test_bucket_guard_exits_three(tmp_path, argv):
     code, out, err = run_cli([arg.format(**paths) for arg in argv])
     assert code == 3
     assert out == "" and err.startswith("resource guard: ")
+    # the spanner's outputs, opened before the build, are removed with it
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cycle.txt", "links.txt", "tree.txt"]
 
 
 def test_cap2_run(tmp_path, c4_file):

@@ -85,7 +85,7 @@ def test_exact_pigeonhole_refutation():
     edges = [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)]
     h = _hop(edges, 5)
     assert not ft_test_exact(h, 0, 1, 2, 2, VF)
-    assert not ft_test_peeling_eft(h, 0, 1, 2, 2)
+    assert not ft_test_peeling_eft(h, 0, 1, 2, 2, VF)
 
 
 def test_exact_agrees_with_independent_enumeration():
@@ -113,17 +113,20 @@ def test_zero_hop_pair_is_never_cut():
 
 def test_peeling_trivial_cases():
     h = _hop([], 2)
-    assert ft_test_peeling_eft(h, 0, 1, 2, 3)
+    for mode in (VF, EF):
+        assert ft_test_peeling_eft(h, 0, 1, 2, 3, mode)
 
 
 def test_peeling_builders_always_verify():
     for seed in range(30):
         g = seeded_graph(seed + 50, 8, p=0.6)
-        cfg = FtConfig(f=2, t=2, mode=EF, eps=THIRD, test_kind=TestKind.PEELING_EFT)
-        state = FtSpannerState(g.n, cfg, 1)
-        for u, v, w in g.edges:
-            state.process_edge(u, v, w)
-        assert verify_ft_spanner(g, state.kept_ids(), cfg)
+        for mode in (VF, EF):
+            for t in (2, 3):
+                cfg = FtConfig(f=2, t=t, mode=mode, eps=THIRD, test_kind=TestKind.PEELING_EFT)
+                state = FtSpannerState(g.n, cfg, 1)
+                for u, v, w in g.edges:
+                    state.process_edge(u, v, w)
+                assert verify_ft_spanner(g, state.kept_ids(), cfg), (seed, mode, t)
 
 
 def test_config_validation():
@@ -131,10 +134,9 @@ def test_config_validation():
         FtConfig(f=-1, t=2, mode=VF)
     with pytest.raises(ValueError):
         FtConfig(f=1, t=0, mode=VF)
-    with pytest.raises(ValueError):
-        FtConfig(f=1, t=2, mode=VF, test_kind=TestKind.PEELING_EFT)
-    with pytest.raises(ValueError):
-        FtSpannerState(40, FtConfig(f=5, t=3, mode=VF), 1)
+    # past the exact test's polynomial cases the automatic choice is peeling
+    state = FtSpannerState(40, FtConfig(f=5, t=3, mode=VF), 1)
+    assert state.config.test_kind is TestKind.PEELING_EFT
     # at t <= 2 the exact test is polynomial, so it is picked for any f and n
     for t in (1, 2):
         state = FtSpannerState(40, FtConfig(f=9, t=t, mode=VF), 1)
@@ -215,6 +217,16 @@ def test_verify_identity_and_broken_spanner():
     bridge = Graph.build(2, [(0, 1, 1)])
     cfg0 = FtConfig(f=0, t=2, mode=VF, eps=THIRD)
     assert not verify_ft_spanner(bridge, [], cfg0)
+
+
+def test_verify_rejects_edge_ids_outside_the_graph():
+    # -1 must not read as the triangle's last edge, nor 5 raise IndexError
+    g = Graph.build(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
+    cfg = FtConfig(f=0, t=1, mode=EF)
+    assert not verify_ft_spanner(g, [0, 1], cfg)
+    for bad in (-1, 5, 2.5):
+        with pytest.raises(ValueError, match="kept edge ids"):
+            verify_ft_spanner(g, [0, 1, bad], cfg)
 
 
 def test_verify_guard():
@@ -305,7 +317,11 @@ def _pin_multigraph(seed):
 
 # Kept stream positions of small seeded builds: the first three recorded
 # before the exact test was reordered (shortcut first, bounded candidate BFS,
-# stamped hop BFS), the last three before the hop BFS stamped v's neighbours.
+# stamped hop BFS), the next three before the hop BFS stamped v's neighbours,
+# the last two when path peeling was opened to vertex faults.  On a simple
+# graph at threshold 3 the two peels coincide (a 2-hop path's inner vertex has
+# no other edge to u or v, and a shorter path through a 3-hop path's inner
+# vertex would have been peeled first), so the t = 2 one runs on multigraphs.
 KEPT_PINS = {
     "exact-vft": ("5c185a7f67cb4784", FtConfig(f=2, t=2, mode=VF, eps=THIRD, test_kind=TestKind.EXACT), _pin_graph),
     "exact-eft": ("4b7cbae1a85fd72c", FtConfig(f=4, t=2, mode=EF, eps=THIRD, test_kind=TestKind.EXACT), _pin_graph),
@@ -320,6 +336,16 @@ KEPT_PINS = {
         "47f1e967d1a4ba24",
         FtConfig(f=2, t=2, mode=EF, eps=THIRD, test_kind=TestKind.PEELING_EFT),
         _pin_multigraph,
+    ),
+    "peeling-vft": (
+        "f93c8d306eb5f9b6",
+        FtConfig(f=2, t=2, mode=VF, eps=THIRD, test_kind=TestKind.PEELING_EFT),
+        _pin_multigraph,
+    ),
+    "peeling-vft-t3": (
+        "035651bc686659b8",
+        FtConfig(f=2, t=3, mode=VF, eps=THIRD, test_kind=TestKind.PEELING_EFT),
+        _pin_graph,
     ),
 }
 
