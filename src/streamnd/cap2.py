@@ -33,10 +33,11 @@ from .streams import item_bucket
 def _cycle_positions(tree, node):
     """Cycle positions of an S node: original vertices ("v", z) interleaved
     with one dummy ("d", ref) per virtual edge; the anchor dummy (parent
-    edge, or the lowest virtual edge on the root cycle) takes position 0."""
+    edge, or on the root cycle the virtual edge with the least endpoint
+    pair) takes position 0."""
     anchor_ref = tree.parent_vid[node.nid]
-    if anchor_ref is None:
-        anchor_ref = min((e.ref for e in node.virtual_edges()), default=None)
+    if anchor_ref is None and node.virtual_edges():
+        anchor_ref = min(node.virtual_edges(), key=lambda e: e.pair()).ref
     order, edges = node.cycle_order(anchor_ref)
     pts = [] if anchor_ref is None else [("d", anchor_ref)]
     for i, vert in enumerate(order):

@@ -2,18 +2,21 @@
 3-connected (R) skeletons joined by shared virtual edges.
 
 Construction splits recursively on separation pairs until no skeleton has
-one, then merges every two adjacent dipoles and every two adjacent cycles in
-one pass (a merge keeps the kind, so no merge makes another possible).  A
-skeleton that is a cycle is final as it stands (Hopcroft and Tarjan's
-polygons), so it costs one edge count and no split search.
-Correctness is the contract here, not linear time: each split search on a
-skeleton that is not a cycle runs one cut-vertex DFS of G - a per skeleton
-vertex a, O(n (n + m)), and a skeleton can be split up to O(n) times.
+one, splitting every separation class of a pair at once (Hopcroft and
+Tarjan; Gutwenger and Mutzel): two classes and no edge between the pair are
+joined by one virtual edge, and otherwise a dipole holds the pair's edges
+plus one virtual edge per class, and each class gets its own.  So no split
+skeleton has parallel edges and no two dipoles are adjacent, and one pass
+then merges every two adjacent cycles (gluing two cycles gives a cycle).
+A skeleton that is a cycle or a dipole is final as it stands, so it costs
+no split search.
+Correctness is the contract here, not linear time: each split search runs
+one cut-vertex DFS of G - a per skeleton vertex a, O(n (n + m)), and a
+skeleton can be split up to O(n) times.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import count
 from typing import NamedTuple
@@ -62,7 +65,8 @@ class SpqrNode:
         """For an S node: vertices in cycle order and the edge between each
         consecutive pair; the edge closing the cycle (last vertex back to the
         first) comes last.  With an anchor edge given, the walk starts at its
-        smaller endpoint and the anchor is the closing edge."""
+        smaller endpoint and the anchor is the closing edge; a virtual-edge
+        id the node does not hold raises ValueError."""
         if self.kind != "S":
             raise ValueError("cycle order is defined for S nodes only")
         adj = {x: [] for x in self.vertices}
@@ -70,7 +74,9 @@ class SpqrNode:
             adj[e.u].append((e.v, e))
             adj[e.v].append((e.u, e))
         if anchor_ref is not None:
-            anchor = next(e for e in self.edges if e.kind == VIRTUAL and e.ref == anchor_ref)
+            anchor = next((e for e in self.virtual_edges() if e.ref == anchor_ref), None)
+            if anchor is None:
+                raise ValueError(f"node {self.nid} holds no virtual edge {anchor_ref}")
             start = min(anchor.u, anchor.v)
             last = max(anchor.u, anchor.v)
             first = next(y for y, e in adj[start] if e is not anchor)
@@ -151,11 +157,11 @@ def _components(vertices, endpoint_pairs, banned):
 
 
 def _find_pair(vertices, endpoint_pairs, clear=frozenset()):
-    """First separation pair in lexicographic order, with its separation
-    classes as index lists into endpoint_pairs, or None.
+    """First separation pair (a, b) in lexicographic order whose removal
+    leaves two or more components, as (a, b, classes, ab), or None.
+    `classes` holds, per component of G - {a, b}, the indices into
+    endpoint_pairs of the edges touching it, and `ab` the a-b edges.
 
-    (a, b) qualifies when removing both leaves two or more components, or
-    when a and b share two or more parallel edges on three or more vertices.
     One cut-vertex pass over G - a counts the components of G - {a, b} for
     every b at once.  The caller vouches that no vertex in `clear` lies in a
     pair, so none of them gets a pass of its own.
@@ -163,43 +169,26 @@ def _find_pair(vertices, endpoint_pairs, clear=frozenset()):
     verts = sorted(vertices)
     index = {x: i for i, x in enumerate(verts)}
     adj = [[] for _ in verts]
-    mult = Counter()
     for eid, (u, v) in enumerate(endpoint_pairs):
         adj[index[u]].append((index[v], eid))
         adj[index[v]].append((index[u], eid))
-        mult[(min(u, v), max(u, v))] += 1
     for ia, a in enumerate(verts):
         if a in clear:
             continue
         comps, gain = _cut_gains(adj, (ia,))
         for ib in range(ia + 1, len(verts)):
-            b = verts[ib]
             if comps + gain[ib] >= 2:
-                classes = [
-                    [i for i, (u, v) in enumerate(endpoint_pairs) if u in comp or v in comp]
-                    for comp in _components(verts, endpoint_pairs, {a, b})
-                ]
-                ab = [i for i, (u, v) in enumerate(endpoint_pairs) if {u, v} == {a, b}]
-                if ab:
-                    classes.append(ab)
-                return a, b, classes
-            if mult[(a, b)] >= 2 and len(verts) > 2:
-                parallel = [
-                    i for i, (u, v) in enumerate(endpoint_pairs) if {u, v} == {a, b}
-                ]
-                rest = [i for i in range(len(endpoint_pairs)) if i not in parallel]
-                return a, b, [parallel, rest]
+                b = verts[ib]
+                parts = _components(verts, endpoint_pairs, {a, b})
+                owner = {x: k for k, part in enumerate(parts) for x in part}
+                classes = [[] for _ in parts]
+                ab = []
+                for i, (u, v) in enumerate(endpoint_pairs):
+                    # the component of an endpoint off the pair, if any
+                    k = owner.get(u, owner.get(v))
+                    (ab if k is None else classes[k]).append(i)
+                return a, b, classes, ab
     return None
-
-
-def _choose_side(classes):
-    """Isolate the smallest class of size >= 2 against everything else."""
-    eligible = sorted(
-        (cls for cls in classes if len(cls) >= 2), key=lambda c: (len(c), min(c))
-    )
-    if not eligible:
-        raise AssertionError("a separation pair always yields a class of >= 2 edges")
-    return list(eligible[0])
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +209,9 @@ def build_spqr(g):
     """SPQR tree of a simple 2-connected graph on at least 3 vertices.
 
     The root is the node holding the lowest-id real edge; h/l maps give, per
-    vertex, its copy closest to and furthest from the root (ties to the
-    lowest node id).
+    vertex, its copy closest to and furthest from the root (the highest copy
+    is unique; deepest copies at equal depth go to the node with the least
+    sorted vertex list, so no tie reads a node id).
     """
     if g.n < 3:
         raise ValueError("SPQR trees need at least 3 vertices")
@@ -239,14 +229,15 @@ def build_spqr(g):
 
 def _split_components(edges):
     """Split on separation pairs until no skeleton has one, keeping cycles
-    whole.  Returns the skeletons by working nid, numbered in the order they
-    become final, and the two working nids sharing each virtual edge."""
+    and dipoles whole.  Returns the skeletons by working nid, numbered in the
+    order they become final, and the two working nids sharing each virtual
+    edge."""
     vid_counter = count()
     skeletons = {}  # working nid -> list of SkelEdge
     vmap = {}  # vid -> [nid, nid]
     next_nid = count()
 
-    # depth-first, the side split off a pair before the rest of the skeleton.
+    # depth-first: a pair's dipole, then its classes in the order found.
     # Each entry carries the vertices known to lie in no separation pair:
     # the scan found none below the first pair's a, and a pair of a split
     # component (with its virtual edge) also separates the skeleton it came
@@ -256,7 +247,7 @@ def _split_components(edges):
         edges, clear = stack.pop()
         pairs = [(e.u, e.v) for e in edges]
         verts = sorted({x for p in pairs for x in p})
-        hit = None if _kind(edges) == "S" else _find_pair(verts, pairs, clear)
+        hit = _find_pair(verts, pairs, clear) if _kind(edges) == "R" else None
         if hit is None:
             nid = next(next_nid)
             skeletons[nid] = list(edges)
@@ -264,25 +255,27 @@ def _split_components(edges):
                 if e.kind == VIRTUAL:
                     vmap.setdefault(e.ref, []).append(nid)
             continue
-        a, b, classes = hit
+        a, b, classes, ab = hit
         clear = clear.union(verts[: verts.index(a)])
-        side = set(_choose_side(classes))
-        vid = next(vid_counter)
-        virt = SkelEdge(a, b, VIRTUAL, vid)
-        stack.append(([e for i, e in enumerate(edges) if i not in side] + [virt], clear))
-        stack.append(([e for i, e in enumerate(edges) if i in side] + [virt], clear))
+        if len(classes) == 2 and not ab:
+            virts = [SkelEdge(a, b, VIRTUAL, next(vid_counter))] * 2
+            dipole = []
+        else:
+            virts = [SkelEdge(a, b, VIRTUAL, next(vid_counter)) for _ in classes]
+            dipole = [([edges[i] for i in ab] + virts, clear)]
+        parts = [([edges[i] for i in cls] + [virt], clear) for cls, virt in zip(classes, virts)]
+        stack += reversed(dipole + parts)
     return skeletons, vmap
 
 
 def _assemble(skeletons, vmap):
-    """Merge the skeletons across every tree edge joining two cycles or two
-    dipoles, then freeze and root the tree; consumes the output of
-    `_split_components`.
+    """Merge the skeletons across every tree edge joining two cycles, then
+    freeze and root the tree; consumes the output of `_split_components`,
+    which never makes two dipoles adjacent.
 
-    Gluing two cycles along their virtual edge gives a cycle, and gluing two
-    dipoles gives a dipole, so a merge keeps the kind and one pass over the
-    virtual edges reaches the fixed point.  Each merge goes into the lower
-    working nid, so a merged node keeps the lowest nid of its parts."""
+    Gluing two cycles along their virtual edge gives a cycle, so one pass
+    over the virtual edges reaches the fixed point.  Each merge goes into the
+    lower working nid, so a merged node keeps the lowest nid of its parts."""
     kinds = {nid: _kind(edges) for nid, edges in skeletons.items()}
     merged_into = {}
 
@@ -293,7 +286,7 @@ def _assemble(skeletons, vmap):
 
     for vid in sorted(vmap):
         keep, drop = sorted(map(find, vmap[vid]))
-        if kinds[keep] == kinds[drop] != "R":
+        if kinds[keep] == kinds[drop] == "S":
             merged_into[drop] = keep
             skeletons[keep] += skeletons.pop(drop)
             del vmap[vid]
@@ -338,7 +331,7 @@ def _assemble(skeletons, vmap):
         h_map[x] = top[0]
         if len(top) > 1 and depth[top[0]] == depth[top[1]]:
             raise AssertionError("copies of a vertex must have a unique highest node")
-        l_map[x] = sorted(nids, key=lambda nid: (-depth[nid], nid))[0]
+        l_map[x] = min(nids, key=lambda nid: (-depth[nid], sorted(nodes[nid].vertices)))
         nodes_of_vertex[x] = tuple(sorted(nids))
 
     return SpqrTree(

@@ -20,9 +20,9 @@ from streamnd import (
     generate,
     is_k_connected,
 )
-from streamnd import cap2
+from streamnd import cap2, spqr
 from streamnd.cap1 import contracted_mst_links, opt_buckets, unique_links
-from streamnd.spqr import VIRTUAL
+from streamnd.spqr import REAL, VIRTUAL, SkelEdge
 from streamnd.streams import StreamingMst
 from streamnd.errors import InfeasibleError, ResourceLimitError
 
@@ -207,6 +207,43 @@ def test_side_maps_match_subtree_vertex_sets():
         depth = max(depth, *state.tree.depth)
     # the corpus reaches deep trees with many S nodes
     assert nodes >= 1000 and depth >= 20
+
+
+def _numbered_backwards(skeletons, vmap):
+    """The output of spqr._split_components with node and virtual-edge ids
+    both reversed."""
+    top_nid, top_vid = max(skeletons), max(vmap, default=0)
+
+    def flip(e):
+        return e._replace(ref=top_vid - e.ref) if e.kind == VIRTUAL else e
+
+    return (
+        {top_nid - nid: [flip(e) for e in edges] for nid, edges in skeletons.items()},
+        {top_vid - vid: [top_nid - x for x in pair] for vid, pair in vmap.items()},
+    )
+
+
+def test_side_maps_read_no_construction_numbers():
+    # the deepest-copy tie and the root cycle's anchor are structural: with
+    # nodes and virtual edges numbered backwards, every vertex keeps its
+    # deepest copy and its cycle positions
+    ties = 0
+    for g in _side_map_corpus():
+        g = g.subgraph(eid for eid, keep in enumerate(cap2._needed_edges(g)) if keep)
+        edges = [SkelEdge(u, v, REAL, eid) for eid, (u, v, _) in enumerate(g.edges)]
+        views = []
+        for renumber in (lambda *split: split, _numbered_backwards):
+            tree = spqr._assemble(*renumber(*spqr._split_components(edges)))
+            name = {node.nid: (node.kind, node.vertices) for node in tree.nodes}
+            sides = cap2._sides(tree)
+            views.append((
+                {z: name[x] for z, x in tree.l_map.items()},
+                {z: {name[x]: pos for x, pos in side.items()} for z, side in sides.items()},
+            ))
+            for z, x in tree.l_map.items():
+                ties += sum(tree.depth[y] == tree.depth[x] for y in tree.nodes_of_vertex[z]) > 1
+        assert views[0] == views[1]
+    assert ties >= 100
 
 
 def _minmax_by_scan(dense, links):
@@ -615,7 +652,7 @@ def test_sol_from_opt_matches_the_s_node_scan():
 
 def test_corpus_bounds_and_mirror():
     eps = HALF
-    outputs = []
+    outputs, mirrors = [], []
     for seed in range(25):
         gen = InstanceGenerator(
             seed=seed, family=Family.TWO_CONNECTED, n=8, chords=2, link_count=3,
@@ -649,15 +686,13 @@ def test_corpus_bounds_and_mirror():
         # chained ratio: exact solve on the store never loses to the mirror
         assert res.weight <= sum(r.w for r in sol) <= (7 + 6 * eps) * opt
         outputs.append(
-            (
-                [r.lid for r in res.stored],
-                [r.lid for r in res.solution],
-                res.weight,
-                [r.lid for r in sol],
-            )
+            ([r.lid for r in res.stored], [r.lid for r in res.solution], res.weight)
         )
-    # pins which links are kept, chosen and mirrored, not only their bounds
-    assert short_digest(outputs) == "17e130bf7ed311bf"
+        mirrors.append([r.lid for r in sol])
+    # pins which links are kept, chosen and mirrored, not only their bounds;
+    # the mirror reads `l_map`, so it has a pin of its own
+    assert short_digest(outputs) == "bafb30b4af3007f8"
+    assert short_digest(mirrors) == "6a1f5e5968eb3640"
 
 
 def test_stored_within_space_bound_without_ceiling():

@@ -64,9 +64,10 @@ def test_separation_pair_none_for_k4():
 
 def test_separation_pair_two_triangles():
     g = Graph.build(4, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 1)])
-    a, b, classes = _find_pair_of(g)
+    a, b, classes, ab = _find_pair_of(g)
     assert (a, b) == (0, 1)
-    assert sorted(sorted(c) for c in classes) == [[0, 1], [2, 3], [4]]
+    assert sorted(sorted(c) for c in classes) == [[0, 1], [2, 3]]
+    assert ab == [4]
 
 
 def test_separation_pair_classes_partition_random():
@@ -75,13 +76,12 @@ def test_separation_pair_classes_partition_random():
         hit = _find_pair_of(g)
         if hit is None:
             continue
-        a, b, classes = hit
-        ids = sorted(i for cls in classes for i in cls)
+        a, b, classes, ab = hit
+        ids = sorted(i for cls in [*classes, ab] for i in cls)
         assert ids == list(range(len(g.edges)))  # exact partition
-        # removing the pair separates distinct classes (or they are parallels)
-        assert not connected_after_removal(g, {a, b}) or any(
-            {g.edges[i][0], g.edges[i][1]} == {a, b} for i in classes[-1]
-        )
+        # only a pair whose removal separates the graph qualifies
+        assert len(classes) >= 2 and not connected_after_removal(g, {a, b})
+        assert all({g.edges[i][0], g.edges[i][1]} == {a, b} for i in ab)
 
 
 def _find_pair_by_scan(vertices, endpoint_pairs):
@@ -97,9 +97,7 @@ def _find_pair_by_scan(vertices, endpoint_pairs):
                     [i for i, (u, v) in enumerate(endpoint_pairs) if u in c or v in c]
                     for c in comps
                 ]
-                return a, b, classes + ([ab] if ab else [])
-            if len(ab) >= 2 and len(verts) > 2:
-                return a, b, [ab, [i for i in range(len(endpoint_pairs)) if i not in ab]]
+                return a, b, classes, ab
     return None
 
 
@@ -115,7 +113,7 @@ def test_find_pair_matches_pairwise_scan(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(spqr, "_find_pair", recording)
-        for seed in range(40):
+        for seed in range(80):
             build_spqr(random_two_connected(seed + 500, 3 + seed % 9))
         build_spqr(FIG)
     rng = random.Random(5)
@@ -149,38 +147,55 @@ def test_cycle_collapses_to_single_s_node(monkeypatch):
     assert searched == []
 
 
-def _split_components_by_triangles(edges):
-    """Reference for spqr._split_components: the recursion before cycle
-    skeletons were kept whole, which split every cycle down to triangles
-    for the merge phase to glue back together."""
+def _split_recursively(edges, split):
+    """Split depth-first with `split(edges, virtual)`, which returns the
+    skeletons one split of `edges` gives (making each new virtual edge with
+    `virtual(a, b)`), or None for a final skeleton.  Skeletons and virtual
+    edges are numbered like spqr._split_components numbers them."""
     vid_counter = itertools.count()
     next_nid = itertools.count()
     skeletons, vmap = {}, {}
 
+    def virtual(a, b):
+        return SkelEdge(a, b, VIRTUAL, next(vid_counter))
+
     def recurse(edges):
-        pairs = [(e.u, e.v) for e in edges]
-        verts = sorted({x for p in pairs for x in p})
-        hit = spqr._find_pair(verts, pairs)
-        if hit is None:
+        parts = split(edges, virtual)
+        if parts is None:
             nid = next(next_nid)
             skeletons[nid] = list(edges)
             for e in edges:
                 if e.kind == VIRTUAL:
                     vmap.setdefault(e.ref, []).append(nid)
             return
-        a, b, classes = hit
-        side = set(spqr._choose_side(classes))
-        virt = SkelEdge(a, b, VIRTUAL, next(vid_counter))
-        recurse([e for i, e in enumerate(edges) if i in side] + [virt])
-        recurse([e for i, e in enumerate(edges) if i not in side] + [virt])
+        for part in parts:
+            recurse(part)
 
     recurse(edges)
     return skeletons, vmap
 
 
+def _split_all_classes(edges, virtual):
+    """spqr._split_components' split rule, but searching cycles too, so
+    every cycle is split down to triangles for the merge phase to glue back
+    together: the recursion before cycle skeletons were kept whole."""
+    pairs = [(e.u, e.v) for e in edges]
+    hit = spqr._find_pair(sorted({x for p in pairs for x in p}), pairs)
+    if hit is None:
+        return None
+    a, b, classes, ab = hit
+    if len(classes) == 2 and not ab:
+        virts = [virtual(a, b)] * 2
+        dipole = []
+    else:
+        virts = [virtual(a, b) for _ in classes]
+        dipole = [[edges[i] for i in ab] + virts]
+    return dipole + [[edges[i] for i in cls] + [virt] for cls, virt in zip(classes, virts)]
+
+
 def _reference_spqr(g):
     edges = [SkelEdge(u, v, REAL, eid) for eid, (u, v, _) in enumerate(g.edges)]
-    return spqr._assemble(*_split_components_by_triangles(edges))
+    return spqr._assemble(*_split_recursively(edges, _split_all_classes))
 
 
 def _vid_ranked(tree):
@@ -228,7 +243,8 @@ def _merge_to_fixed_point(skeletons, vmap, merges):
     """Reference for the merge pass of spqr._assemble: merge the lowest
     virtual edge joining two dipoles or two cycles into the lower nid and
     rescan every virtual edge, until none is left.  Counts the merges by
-    kind into `merges`."""
+    kind into `merges`.  Also the dipole merging of the one-class-at-a-time
+    splitter, which spqr._assemble no longer does."""
     while True:
         candidate = None
         for vid in sorted(vmap):
@@ -295,8 +311,121 @@ def test_one_merge_pass_matches_the_fixed_point_loop():
         assert got.nodes == want.nodes
         for node in got.nodes:
             assert node.kind == _classify_by_degrees(node.edges)
-    # the corpus glues cycles to cycles and dipoles to dipoles
-    assert merges["S"] >= 500 and merges["P"] >= 200, merges
+    # the corpus glues cycles to cycles, and the split never makes two
+    # dipoles adjacent
+    assert merges["S"] >= 500 and merges["P"] == 0, merges
+
+
+def _find_pair_or_bundle(vertices, endpoint_pairs):
+    """The pair search of the one-class-at-a-time splitter: the first pair
+    in lexicographic order whose removal leaves two or more components (its
+    a-b edges, if any, as one more class), or that carries two or more
+    parallel edges on three or more vertices (the bundle against the rest);
+    a cut pair wins over a bundle on the same pair."""
+    hit = spqr._find_pair(vertices, endpoint_pairs)
+    mult = Counter(tuple(sorted(p)) for p in endpoint_pairs)
+    bundle = min((pair for pair, k in mult.items() if k >= 2), default=None)
+    if bundle is not None and len(vertices) > 2 and (hit is None or bundle < hit[:2]):
+        parallel = [i for i, p in enumerate(endpoint_pairs) if tuple(sorted(p)) == bundle]
+        rest = [i for i in range(len(endpoint_pairs)) if i not in parallel]
+        return (*bundle, [parallel, rest])
+    if hit is None:
+        return None
+    a, b, classes, ab = hit
+    return a, b, classes + ([ab] if ab else [])
+
+
+def _choose_side(classes):
+    """Isolate the smallest class of size >= 2 against everything else."""
+    eligible = sorted(
+        (cls for cls in classes if len(cls) >= 2), key=lambda c: (len(c), min(c))
+    )
+    if not eligible:
+        raise AssertionError("a separation pair always yields a class of >= 2 edges")
+    return set(eligible[0])
+
+
+def _split_one_class(edges, virtual):
+    """The split rule before every class of a pair was split at once: one
+    class against the rest of the skeleton, which gets one virtual edge, so a
+    wide dipole is built up over many splits, each searching the rest again,
+    and adjacent dipoles are merged afterwards."""
+    pairs = [(e.u, e.v) for e in edges]
+    hit = _find_pair_or_bundle(sorted({x for p in pairs for x in p}), pairs)
+    if hit is None:
+        return None
+    a, b, classes = hit
+    side = _choose_side(classes)
+    virt = virtual(a, b)
+    return [
+        [e for i, e in enumerate(edges) if i in side] + [virt],
+        [e for i, e in enumerate(edges) if i not in side] + [virt],
+    ]
+
+
+def k2_graph(k, pole_edge):
+    """K_{2,k}: poles 0 and 1 joined by k paths through one vertex each,
+    plus the edge 0-1 when `pole_edge` is set."""
+    edges = [(0, 1)] if pole_edge else []
+    for x in range(2, k + 2):
+        edges += [(0, x), (x, 1)]
+    return Graph.build(k + 2, edges)
+
+
+def _split_corpus():
+    for seed in range(400):
+        yield ear_graph(seed, 5 + seed % 16)
+        yield ear_graph(seed, 8 + seed % 14, window=4)
+        yield theta_graph(seed, 5 + seed % 14)
+        yield random_two_connected(seed + 2000, 4 + seed % 9)
+        yield seeded_two_connected(seed + 2000, 4 + seed % 9)
+    for k in range(2, 40):
+        yield k2_graph(k, True)
+        if k >= 3:
+            yield k2_graph(k, False)
+
+
+def test_all_classes_at_once_matches_the_one_class_splitter(monkeypatch):
+    graphs = list(_split_corpus())
+    assert len(graphs) >= 2000
+    want = []
+    for g in graphs:
+        edges = [SkelEdge(u, v, REAL, eid) for eid, (u, v, _) in enumerate(g.edges)]
+        skeletons, vmap = _split_recursively(edges, _split_one_class)
+        want.append(spqr._assemble(*_merge_to_fixed_point(skeletons, vmap, Counter())))
+    searched = []
+    real_find_pair = spqr._find_pair
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            spqr,
+            "_find_pair",
+            lambda verts, pairs, clear=frozenset(): searched.append(pairs)
+            or real_find_pair(verts, pairs, clear),
+        )
+        got = [build_spqr(g) for g in graphs]
+    for g, tree, ref in zip(graphs, got, want):
+        assert canonical_form(tree) == canonical_form(ref), g.edges
+    # no skeleton the search sees has parallel edges
+    assert len(searched) > 1000
+    for pairs in searched:
+        assert len({frozenset(p) for p in pairs}) == len(pairs), pairs
+
+
+def test_wide_dipole_is_one_p_node_from_one_search(monkeypatch):
+    for k, pole_edge in [(2, True), *itertools.product((3, 4, 40), (False, True))]:
+        searched = []
+        real_find_pair = spqr._find_pair
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                spqr, "_find_pair", lambda *args: searched.append(1) or real_find_pair(*args)
+            )
+            tree = build_spqr(k2_graph(k, pole_edge))
+        assert len(searched) == 1, (k, pole_edge)
+        assert sorted(node.kind for node in tree.nodes) == ["P"] + ["S"] * k
+        (dipole,) = (node for node in tree.nodes if node.kind == "P")
+        assert dipole.vertices == {0, 1}
+        assert len(dipole.real_edges()) == pole_edge and len(dipole.virtual_edges()) == k
+        assert all(len(node.vertices) == 3 for node in tree.nodes if node.kind == "S")
 
 
 def test_pair_search_skips_vertices_in_no_pair(monkeypatch):
@@ -317,6 +446,17 @@ def test_pair_search_skips_vertices_in_no_pair(monkeypatch):
     assert len(runs) <= 300  # 3291 without the pruning
     for h, tree in zip(corpus, want):
         assert build_spqr(h) == tree
+
+
+def test_cycle_order_rejects_an_anchor_the_node_does_not_hold():
+    tree = build_spqr(FIG)
+    s_node = next(node for node in tree.nodes if node.kind == "S" and node.virtual_edges())
+    vid = s_node.virtual_edges()[0].ref
+    order, edges = s_node.cycle_order(vid)
+    assert edges[-1].ref == vid and order[0] == min(edges[-1].pair())
+    foreign = max(ref for _, _, ref in tree.tree_edges) + 1
+    with pytest.raises(ValueError, match=f"node {s_node.nid} holds no virtual edge {foreign}"):
+        s_node.cycle_order(foreign)
 
 
 def test_k4_is_single_r_node():
