@@ -550,6 +550,8 @@ def load_requirements(path, n):
             raise ParseError(path, lineno, f"pair ({u},{v}) out of range for n={n}")
         if u == v:
             raise ParseError(path, lineno, f"requirement on a single vertex {u}")
+        if r < 0:
+            raise ParseError(path, lineno, f"requirement r({u},{v})={r} must be nonnegative")
         key = (min(u, v), max(u, v))
         if key in seen:
             raise ParseError(path, lineno, f"duplicate requirement for pair {key}")

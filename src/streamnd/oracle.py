@@ -46,12 +46,7 @@ def max_disjoint_paths(g, u, v, mode):
     """
     if u == v:
         raise ValueError("packing needs two distinct endpoints")
-    adj = [[] for _ in range(g.n)]
-    for eid, (a, b, _) in enumerate(g.edges):
-        adj[a].append((b, eid))
-        adj[b].append((a, eid))
-    for lst in adj:
-        lst.sort(key=lambda t: t[1])
+    adj = g.adjacency()
     reliable = g.reliable
 
     def avail_degree(x, used):

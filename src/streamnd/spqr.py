@@ -12,7 +12,8 @@ A skeleton that is a cycle or a dipole is final as it stands, so it costs
 no split search.
 Correctness is the contract here, not linear time: each split search runs
 one cut-vertex DFS of G - a per skeleton vertex a, O(n (n + m)), and a
-skeleton can be split up to O(n) times.
+skeleton can be split up to O(n) times.  Each split search labels the
+pair's separation classes on its own adjacency of the skeleton.
 """
 
 from __future__ import annotations
@@ -131,31 +132,6 @@ class SpqrTree:
 # separation pairs
 
 
-def _components(vertices, endpoint_pairs, banned):
-    adj = {x: set() for x in vertices if x not in banned}
-    for u, v in endpoint_pairs:
-        if u in banned or v in banned or u == v:
-            continue
-        adj[u].add(v)
-        adj[v].add(u)
-    comps = []
-    seen = set()
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
 def _find_pair(vertices, endpoint_pairs, clear=frozenset()):
     """First separation pair (a, b) in lexicographic order whose removal
     leaves two or more components, as (a, b, classes, ab), or None.
@@ -178,16 +154,28 @@ def _find_pair(vertices, endpoint_pairs, clear=frozenset()):
         comps, gain = _cut_gains(adj, (ia,))
         for ib in range(ia + 1, len(verts)):
             if comps + gain[ib] >= 2:
-                b = verts[ib]
-                parts = _components(verts, endpoint_pairs, {a, b})
-                owner = {x: k for k, part in enumerate(parts) for x in part}
-                classes = [[] for _ in parts]
+                # label the components of G - {a, b} by least vertex
+                label = [None] * len(verts)
+                label[ia] = label[ib] = -1
+                nparts = 0
+                for start in range(len(verts)):
+                    if label[start] is not None:
+                        continue
+                    label[start] = nparts
+                    stack = [start]
+                    while stack:
+                        for y, _ in adj[stack.pop()]:
+                            if label[y] is None:
+                                label[y] = nparts
+                                stack.append(y)
+                    nparts += 1
+                classes = [[] for _ in range(nparts)]
                 ab = []
                 for i, (u, v) in enumerate(endpoint_pairs):
-                    # the component of an endpoint off the pair, if any
-                    k = owner.get(u, owner.get(v))
-                    (ab if k is None else classes[k]).append(i)
-                return a, b, classes, ab
+                    # a and b carry -1, so this is an off-pair endpoint's class
+                    k = max(label[index[u]], label[index[v]])
+                    (ab if k < 0 else classes[k]).append(i)
+                return a, verts[ib], classes, ab
     return None
 
 

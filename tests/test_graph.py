@@ -359,6 +359,10 @@ def test_reliability_and_requirements_files(tmp_path):
     qpath.write_text("0 2 2\n2 0 2\n")
     with pytest.raises(ParseError):
         load_requirements(qpath, 3)
+    qpath.write_text("0 2 -1\n")
+    with pytest.raises(ParseError, match="nonnegative") as err:
+        load_requirements(qpath, 3)
+    assert err.value.lineno == 1
 
 
 def test_tree_child_toward_needs_a_node_strictly_below():

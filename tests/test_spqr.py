@@ -22,6 +22,7 @@ from conftest import (
     random_two_connected,
     remerged_edges,
     seeded_two_connected,
+    short_digest,
 )
 
 V = ConnectivityMode.VERTEX
@@ -84,13 +85,33 @@ def test_separation_pair_classes_partition_random():
         assert all({g.edges[i][0], g.edges[i][1]} == {a, b} for i in ab)
 
 
+def _components_without(vertices, endpoint_pairs, banned):
+    """Vertex sets of the components of G - banned, by least vertex."""
+    nbrs = {x: set() for x in vertices if x not in banned}
+    for u, v in endpoint_pairs:
+        if u not in banned and v not in banned:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    comps = []
+    for start in sorted(nbrs):
+        if any(start in c for c in comps):
+            continue
+        comp, todo = {start}, [start]
+        while todo:
+            new = nbrs[todo.pop()] - comp
+            comp |= new
+            todo += new
+        comps.append(comp)
+    return comps
+
+
 def _find_pair_by_scan(vertices, endpoint_pairs):
     """Reference for spqr._find_pair: the components of G - {a, b}
     recomputed for every pair in lexicographic order."""
     verts = sorted(vertices)
     for ia, a in enumerate(verts):
         for b in verts[ia + 1 :]:
-            comps = spqr._components(verts, endpoint_pairs, {a, b})
+            comps = _components_without(verts, endpoint_pairs, {a, b})
             ab = [i for i, (u, v) in enumerate(endpoint_pairs) if {u, v} == {a, b}]
             if len(comps) >= 2:
                 classes = [
@@ -570,3 +591,15 @@ def test_debug_serializer_shape():
         nid, kind, verts = head.split(" ")
         assert kind in "SPR"
         assert all("-" in item for item in reals.split(",") if item)
+
+
+@pytest.mark.parametrize(
+    "seed, window, digest",
+    [(1, None, "7ad42d9740719869"), (2, None, "f8456753fe1eb813"), (1, 6, "096b5b30caa593e1")],
+)
+def test_long_split_chains_keep_their_numbering(seed, window, digest):
+    # trees of 139-217 nodes from long chains of splits: every node number,
+    # class order and virtual-edge id is pinned, not just the tree's shape
+    tree = build_spqr(ear_graph(seed, 400, window=window))
+    assert len(tree.nodes) >= 50
+    assert short_digest(to_debug_lines(tree)) == digest
