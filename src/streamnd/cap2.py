@@ -1,8 +1,9 @@
 """Augmenting a 2-vertex-connected base to 3-connectivity from a link stream.
 
-The base is first thinned to an edge-minimal 2-connected subgraph (removed
-edges re-enter the stream as weight-0 links) and decomposed into an SPQR
-tree.  The stream keeps cap1's `LinkCore` on that tree, with each vertex's
+The base is validated once, thinned to an edge-minimal 2-connected subgraph
+(removed edges re-enter the stream as weight-0 links) and decomposed into an
+SPQR tree with no second check, as thinning leaves a simple 2-connected
+graph.  The stream keeps cap1's `LinkCore` on that tree, with each vertex's
 topmost and deepest copies (`h_map`, `l_map`) as its ends: per tree node and
 weight bucket, the link whose tree-LCA sits closest to the root, and per P
 node a streaming MST over its child subtrees, which a link enters only at the
@@ -23,10 +24,11 @@ from __future__ import annotations
 from itertools import chain
 
 from .cap1 import LinkCore, opt_buckets, solve_retained, unique_links
-# unused here; perfbench/test_tracer.py checks that tracing wraps this binding
+# exact_solve and build_spqr are unused here; perfbench/test_tracer.py checks
+# that tracing wraps these bindings
 from .framework import exact_solve  # noqa: F401
 from .graph import ConnectivityMode, _biconnected, is_k_connected
-from .spqr import VIRTUAL, build_spqr
+from .spqr import VIRTUAL, _decompose, build_spqr  # noqa: F401
 from .streams import item_bucket
 
 
@@ -36,8 +38,9 @@ def _cycle_positions(tree, node):
     edge, or on the root cycle the virtual edge with the least endpoint
     pair) takes position 0."""
     anchor_ref = tree.parent_vid[node.nid]
-    if anchor_ref is None and node.virtual_edges():
-        anchor_ref = min(node.virtual_edges(), key=lambda e: e.pair()).ref
+    virtual = node.virtual_edges()
+    if anchor_ref is None and virtual:
+        anchor_ref = min(virtual, key=lambda e: e.pair()).ref
     order, edges = node.cycle_order(anchor_ref)
     pts = [] if anchor_ref is None else [("d", anchor_ref)]
     for i, vert in enumerate(order):
@@ -112,8 +115,13 @@ class Cap2State:
 
         Thinning (`_needed_edges`) tries each edge once, highest id first,
         on one adjacency list; the decomposition keeps cycle skeletons whole.
-        Only the two validations run `is_k_connected`: the one here and the
-        one inside `build_spqr`."""
+        g is validated once, here; the tree is built by `build_spqr`'s
+        unchecked core, as the thinned graph meets its checks.  It stays
+        2-connected, and it is simple: the later of two parallel copies is
+        tried while the earlier is still there, so both endpoints then have
+        degree 3 or more (each vertex of a 2-connected graph on 4 or more
+        vertices has a second neighbour), and the copy goes, since its twin
+        keeps every connection."""
         if g.n < 4:
             raise ValueError("need at least 4 vertices to aim for 3-connectivity")
         if not is_k_connected(g, 2, ConnectivityMode.VERTEX):
@@ -121,7 +129,7 @@ class Cap2State:
         needed = _needed_edges(g)
         minimal = g.subgraph(eid for eid, keep in enumerate(needed) if keep)
         removed = [e for e, keep in zip(g.edges, needed) if not keep]
-        tree = build_spqr(minimal)
+        tree = _decompose(minimal)
         return Cap2State(minimal, removed, tree, scheme)
 
     # -- stream phase

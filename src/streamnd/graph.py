@@ -87,11 +87,14 @@ class Graph:
 
     def subgraph(self, edge_ids):
         """Same vertex set, edges restricted to the given ids (order kept);
-        an id outside 0..len(edges)-1 raises ValueError."""
-        keep = sorted(set(edge_ids))
-        if keep and not (0 <= keep[0] and keep[-1] < len(self.edges)):
-            raise ValueError(f"edge ids must lie in 0..{len(self.edges) - 1}")
-        return Graph(self.n, tuple(self.edges[i] for i in keep), self.reliable)
+        an id that is not an int in 0..len(edges)-1 raises ValueError."""
+        try:
+            keep = sorted(set(edge_ids))
+            if not keep or (0 <= keep[0] and keep[-1] < len(self.edges)):
+                return Graph(self.n, tuple(self.edges[i] for i in keep), self.reliable)
+        except TypeError:  # an id that does not compare with ints or index a tuple
+            pass
+        raise ValueError(f"edge ids must be ints in 0..{len(self.edges) - 1}")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,8 @@ Correctness is the contract here, not linear time: each split search runs
 one cut-vertex DFS of G - a per skeleton vertex a, O(n (n + m)), and a
 skeleton can be split up to O(n) times.  Each split search labels the
 pair's separation classes on its own adjacency of the skeleton.
+`_decompose` is `build_spqr` without its simple and 2-connected checks,
+for a caller whose input meets them by construction (cap2's thinned base).
 """
 
 from __future__ import annotations
@@ -67,36 +69,36 @@ class SpqrNode:
         consecutive pair; the edge closing the cycle (last vertex back to the
         first) comes last.  With an anchor edge given, the walk starts at its
         smaller endpoint and the anchor is the closing edge; a virtual-edge
-        id the node does not hold raises ValueError."""
+        id the node does not hold raises ValueError.  The skeleton is a simple
+        cycle, so the walk leaves each vertex by the edge it did not arrive on."""
         if self.kind != "S":
             raise ValueError("cycle order is defined for S nodes only")
-        adj = {x: [] for x in self.vertices}
+        incident = {x: [] for x in self.vertices}
         for e in self.edges:
-            adj[e.u].append((e.v, e))
-            adj[e.v].append((e.u, e))
+            incident[e.u].append(e)
+            incident[e.v].append(e)
         if anchor_ref is not None:
             anchor = next((e for e in self.virtual_edges() if e.ref == anchor_ref), None)
             if anchor is None:
                 raise ValueError(f"node {self.nid} holds no virtual edge {anchor_ref}")
             start = min(anchor.u, anchor.v)
-            last = max(anchor.u, anchor.v)
-            first = next(y for y, e in adj[start] if e is not anchor)
+            e1, e2 = incident[start]
+            edge = e2 if e1 is anchor else e1
         else:
-            start = min(self.vertices)
-            first = min(y for y, _ in adj[start])
-            last = None
             anchor = None
+            start = min(self.vertices)
+            edge = min(incident[start], key=lambda e: e.u + e.v)  # to the smaller neighbour
         order = [start]
         edges = []
-        prev, cur = start, first
-        edge = next(e for y, e in adj[start] if y == first and (anchor is None or e is not anchor))
+        cur = edge.v if edge.u == start else edge.u
         while cur != start:
             order.append(cur)
             edges.append(edge)
-            nxt, nedge = next((y, e) for y, e in adj[cur] if e is not edge)
-            prev, cur, edge = cur, nxt, nedge
+            e1, e2 = incident[cur]
+            edge = e2 if e1 is edge else e1
+            cur = edge.v if edge.u == cur else edge.u
         edges.append(edge)
-        if anchor is not None and (order[-1] != last or edges[-1] is not anchor):
+        if anchor is not None and (order[-1] != max(anchor.u, anchor.v) or edges[-1] is not anchor):
             raise AssertionError("anchored cycle walk must close on the anchor edge")
         return order, edges
 
@@ -183,16 +185,6 @@ def _find_pair(vertices, endpoint_pairs, clear=frozenset()):
 # construction
 
 
-def _kind(edges):
-    """'P' for a skeleton on two vertices, 'S' for a cycle, 'R' otherwise.
-    A skeleton is 2-connected, so no degree is below 2 and it is a cycle
-    exactly when it has as many edges as vertices."""
-    nverts = len({x for e in edges for x in (e.u, e.v)})
-    if nverts == 2:
-        return "P"
-    return "S" if len(edges) == nverts else "R"
-
-
 def build_spqr(g):
     """SPQR tree of a simple 2-connected graph on at least 3 vertices.
 
@@ -211,6 +203,12 @@ def build_spqr(g):
         seen_pairs.add(key)
     if not is_k_connected(g, 2, ConnectivityMode.VERTEX):
         raise ValueError("graph is not 2-vertex-connected")
+    return _decompose(g)
+
+
+def _decompose(g):
+    """`build_spqr` without its input checks: the caller vouches that g is
+    simple, 2-connected and has at least 3 vertices."""
     edges = [SkelEdge(u, v, REAL, eid) for eid, (u, v, _) in enumerate(g.edges)]
     return _assemble(*_split_components(edges))
 
@@ -218,11 +216,12 @@ def build_spqr(g):
 def _split_components(edges):
     """Split on separation pairs until no skeleton has one, keeping cycles
     and dipoles whole.  Returns the skeletons by working nid, numbered in the
-    order they become final, and the two working nids sharing each virtual
-    edge."""
+    order they become final, the two working nids sharing each virtual edge,
+    and each skeleton's kind."""
     vid_counter = count()
     skeletons = {}  # working nid -> list of SkelEdge
     vmap = {}  # vid -> [nid, nid]
+    kinds = {}  # working nid -> 'S', 'P' or 'R'
     next_nid = count()
 
     # depth-first: a pair's dipole, then its classes in the order found.
@@ -233,18 +232,21 @@ def _split_components(edges):
     stack = [(edges, frozenset())]
     while stack:
         edges, clear = stack.pop()
-        pairs = [(e.u, e.v) for e in edges]
-        verts = sorted({x for p in pairs for x in p})
-        hit = _find_pair(verts, pairs, clear) if _kind(edges) == "R" else None
+        # a skeleton is 2-connected, so no degree is below 2 and, off two
+        # vertices (a dipole), it is a cycle iff it has as many edges as vertices
+        verts = {x for e in edges for x in (e.u, e.v)}
+        kind = "P" if len(verts) == 2 else "S" if len(edges) == len(verts) else "R"
+        hit = _find_pair(verts, [(e.u, e.v) for e in edges], clear) if kind == "R" else None
         if hit is None:
             nid = next(next_nid)
             skeletons[nid] = list(edges)
+            kinds[nid] = kind
             for e in edges:
                 if e.kind == VIRTUAL:
                     vmap.setdefault(e.ref, []).append(nid)
             continue
         a, b, classes, ab = hit
-        clear = clear.union(verts[: verts.index(a)])
+        clear = clear.union(x for x in verts if x < a)
         if len(classes) == 2 and not ab:
             virts = [SkelEdge(a, b, VIRTUAL, next(vid_counter))] * 2
             dipole = []
@@ -253,18 +255,18 @@ def _split_components(edges):
             dipole = [([edges[i] for i in ab] + virts, clear)]
         parts = [([edges[i] for i in cls] + [virt], clear) for cls, virt in zip(classes, virts)]
         stack += reversed(dipole + parts)
-    return skeletons, vmap
+    return skeletons, vmap, kinds
 
 
-def _assemble(skeletons, vmap):
+def _assemble(skeletons, vmap, kinds):
     """Merge the skeletons across every tree edge joining two cycles, then
     freeze and root the tree; consumes the output of `_split_components`,
     which never makes two dipoles adjacent.
 
     Gluing two cycles along their virtual edge gives a cycle, so one pass
-    over the virtual edges reaches the fixed point.  Each merge goes into the
-    lower working nid, so a merged node keeps the lowest nid of its parts."""
-    kinds = {nid: _kind(edges) for nid, edges in skeletons.items()}
+    over the virtual edges reaches the fixed point, and a merged node keeps
+    kind 'S'.  Each merge goes into the lower working nid, so a merged node
+    keeps the lowest nid of its parts."""
     merged_into = {}
 
     def find(nid):
@@ -296,31 +298,32 @@ def _assemble(skeletons, vmap):
         sorted((*sorted(remap[find(x)] for x in pair), vid) for vid, pair in vmap.items())
     )
 
-    # root at the node holding the lowest-id real edge
-    lowest_real = min(e.ref for node in nodes for e in node.edges if e.kind == REAL)
-    root = next(
-        node.nid
-        for node in nodes
-        if any(e.kind == REAL and e.ref == lowest_real for e in node.edges)
-    )
+    # root at the node holding the lowest-id real edge; real edges come first
+    # in a node, so only each node's first edge is read
+    root = min((node.edges[0].ref, node.nid) for node in nodes if node.edges[0].kind == REAL)[1]
     adj = [[] for _ in nodes]
     for x, y, vid in tree_edges:
         adj[x].append((y, vid))
         adj[y].append((x, vid))
     parent, parent_vid, depth, children = root_tree(adj, root)
 
+    # nids are appended in increasing order, so each list is already sorted
     nodes_of_vertex = {}
     for node in nodes:
         for x in node.vertices:
             nodes_of_vertex.setdefault(x, []).append(node.nid)
     h_map, l_map = {}, {}
+    ranks = [sorted(node.vertices) for node in nodes]  # deepest-copy tie-break
     for x, nids in nodes_of_vertex.items():
-        top = sorted(nids, key=lambda nid: (depth[nid], nid))
+        nodes_of_vertex[x] = tuple(nids)
+        if len(nids) == 1:
+            h_map[x] = l_map[x] = nids[0]
+            continue
+        top = sorted(nids, key=depth.__getitem__)
         h_map[x] = top[0]
-        if len(top) > 1 and depth[top[0]] == depth[top[1]]:
+        if depth[top[0]] == depth[top[1]]:
             raise AssertionError("copies of a vertex must have a unique highest node")
-        l_map[x] = min(nids, key=lambda nid: (-depth[nid], sorted(nodes[nid].vertices)))
-        nodes_of_vertex[x] = tuple(sorted(nids))
+        l_map[x] = min(nids, key=lambda nid: (-depth[nid], ranks[nid]))
 
     return SpqrTree(
         nodes=tuple(nodes),

@@ -112,6 +112,23 @@ def test_thinning_matches_subgraph_loop():
         assert state.base == g.subgraph(keep)
 
 
+def _is_simple(g):
+    return len({frozenset((u, v)) for u, v, _ in g.edges}) == len(g.edges)
+
+
+def test_thinned_base_meets_the_checks_it_skips():
+    # from_base validates g once and builds the tree without build_spqr's
+    # simple and 2-connected checks: thinning must leave a graph that passes
+    # both and decomposes to the same tree
+    multigraphs = 0
+    for g in chain(_thinning_corpus(), _side_map_corpus()):
+        multigraphs += not _is_simple(g)
+        state = Cap2State.from_base(g, scheme())
+        assert _is_simple(state.base), g.edges
+        assert state.tree == build_spqr(state.base), g.edges
+    assert multigraphs >= 60
+
+
 def test_preprocess_rejects_bad_base():
     with pytest.raises(ValueError):
         Cap2State.from_base(Graph.build(4, [(0, 1), (1, 2), (2, 3)]), scheme())
@@ -209,7 +226,7 @@ def test_side_maps_match_subtree_vertex_sets():
     assert nodes >= 1000 and depth >= 20
 
 
-def _numbered_backwards(skeletons, vmap):
+def _numbered_backwards(skeletons, vmap, kinds):
     """The output of spqr._split_components with node and virtual-edge ids
     both reversed."""
     top_nid, top_vid = max(skeletons), max(vmap, default=0)
@@ -220,6 +237,7 @@ def _numbered_backwards(skeletons, vmap):
     return (
         {top_nid - nid: [flip(e) for e in edges] for nid, edges in skeletons.items()},
         {top_vid - vid: [top_nid - x for x in pair] for vid, pair in vmap.items()},
+        {top_nid - nid: kind for nid, kind in kinds.items()},
     )
 
 

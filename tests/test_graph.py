@@ -283,8 +283,8 @@ def test_graph_normalization():
         Graph.build(2, [(0, 3)])
     with pytest.raises(ValueError):
         Graph.build(2, [(0, 1, -1)])
-    # subgraph ids must name edges: -1 would pick the last one first
-    for bad in ([-1, 0], [0, 2], [2]):
+    # subgraph ids must be ints naming edges: -1 would pick the last one first
+    for bad in ([-1, 0], [0, 2], [2], [0, 1.5], [1.0], ["a"], [0, "a"], [None]):
         with pytest.raises(ValueError, match="edge ids"):
             g.subgraph(bad)
 

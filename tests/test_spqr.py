@@ -214,9 +214,15 @@ def _split_all_classes(edges, virtual):
     return dipole + [[edges[i] for i in cls] + [virt] for cls, virt in zip(classes, virts)]
 
 
+def _assemble_classified(skeletons, vmap):
+    """spqr._assemble with each skeleton's kind read off its degrees."""
+    kinds = {nid: _classify_by_degrees(edges) for nid, edges in skeletons.items()}
+    return spqr._assemble(skeletons, vmap, kinds)
+
+
 def _reference_spqr(g):
     edges = [SkelEdge(u, v, REAL, eid) for eid, (u, v, _) in enumerate(g.edges)]
-    return spqr._assemble(*_split_recursively(edges, _split_all_classes))
+    return _assemble_classified(*_split_recursively(edges, _split_all_classes))
 
 
 def _vid_ranked(tree):
@@ -252,8 +258,9 @@ def test_whole_cycles_give_the_reference_tree():
 
 
 def _classify_by_degrees(edges):
-    """Reference for spqr._kind: a dipole on two vertices, a cycle when
-    every vertex has degree 2, else 3-connected."""
+    """Reference for the kind spqr._split_components gives a skeleton: a
+    dipole on two vertices, a cycle when every vertex has degree 2, else
+    3-connected."""
     deg = Counter(x for e in edges for x in (e.u, e.v))
     if len(deg) == 2:
         return "P"
@@ -323,7 +330,8 @@ def test_one_merge_pass_matches_the_fixed_point_loop():
     merges = Counter()
     for g in _merge_corpus():
         edges = [SkelEdge(u, v, REAL, eid) for eid, (u, v, _) in enumerate(g.edges)]
-        want = spqr._assemble(*_merge_to_fixed_point(*spqr._split_components(edges), merges))
+        skeletons, vmap, _ = spqr._split_components(edges)
+        want = _assemble_classified(*_merge_to_fixed_point(skeletons, vmap, merges))
         got = build_spqr(g)
         assert to_debug_lines(got) == to_debug_lines(want), g.edges
         for attr in ("tree_edges", "root", "parent", "parent_vid", "depth", "children",
@@ -413,7 +421,7 @@ def test_all_classes_at_once_matches_the_one_class_splitter(monkeypatch):
     for g in graphs:
         edges = [SkelEdge(u, v, REAL, eid) for eid, (u, v, _) in enumerate(g.edges)]
         skeletons, vmap = _split_recursively(edges, _split_one_class)
-        want.append(spqr._assemble(*_merge_to_fixed_point(skeletons, vmap, Counter())))
+        want.append(_assemble_classified(*_merge_to_fixed_point(skeletons, vmap, Counter())))
     searched = []
     real_find_pair = spqr._find_pair
     with monkeypatch.context() as patch:
@@ -467,6 +475,44 @@ def test_pair_search_skips_vertices_in_no_pair(monkeypatch):
     assert len(runs) <= 300  # 3291 without the pruning
     for h, tree in zip(corpus, want):
         assert build_spqr(h) == tree
+
+
+def _cycle_order_by_adjacency(node, anchor_ref=None):
+    """Reference for SpqrNode.cycle_order: the walk that scans a neighbour
+    list per vertex for the first edge it did not arrive on."""
+    adj = {x: [] for x in node.vertices}
+    for e in node.edges:
+        adj[e.u].append((e.v, e))
+        adj[e.v].append((e.u, e))
+    if anchor_ref is not None:
+        anchor = next(e for e in node.virtual_edges() if e.ref == anchor_ref)
+        start = min(anchor.u, anchor.v)
+        first = next(y for y, e in adj[start] if e is not anchor)
+    else:
+        anchor = None
+        start = min(node.vertices)
+        first = min(y for y, _ in adj[start])
+    order, edges = [start], []
+    cur = first
+    edge = next(e for y, e in adj[start] if y == first and e is not anchor)
+    while cur != start:
+        order.append(cur)
+        edges.append(edge)
+        cur, edge = next((y, e) for y, e in adj[cur] if e is not edge)
+    edges.append(edge)
+    return order, edges
+
+
+def test_cycle_walk_matches_the_adjacency_scan():
+    walks = 0
+    for g in _merge_corpus():
+        for node in build_spqr(g).nodes:
+            if node.kind != "S":
+                continue
+            for ref in (None, *(e.ref for e in node.virtual_edges())):
+                assert node.cycle_order(ref) == _cycle_order_by_adjacency(node, ref), g.edges
+                walks += 1
+    assert walks >= 5000
 
 
 def test_cycle_order_rejects_an_anchor_the_node_does_not_hold():
