@@ -1,10 +1,9 @@
 """Augmenting a 2-vertex-connected base to 3-connectivity from a link stream.
 
-The base is validated once, thinned to an edge-minimal 2-connected subgraph
-(removed edges re-enter the stream as weight-0 links) and decomposed into an
-SPQR tree with no second check, as thinning leaves a simple 2-connected
-graph.  The stream keeps cap1's `LinkCore` on that tree, with each vertex's
-topmost and deepest copies (`h_map`, `l_map`) as its ends: per tree node and
+The base is checked to be 2-connected on the adjacency that thins it to an
+edge-minimal 2-connected subgraph (removed edges re-enter the stream as
+weight-0 links), which is then decomposed into an SPQR tree.  The stream
+keeps cap1's `LinkCore` on that tree, with each vertex's topmost and deepest copies (`h_map`, `l_map`) as its ends: per tree node and
 weight bucket, the link whose tree-LCA sits closest to the root, and per P
 node a streaming MST over its child subtrees, which a link enters only at the
 P node where its endpoints' top copies meet below two different children.
@@ -24,11 +23,11 @@ from __future__ import annotations
 from itertools import chain
 
 from .cap1 import LinkCore, opt_buckets, solve_retained, unique_links
-# exact_solve and build_spqr are unused here; perfbench/test_tracer.py checks
-# that tracing wraps these bindings
+# exact_solve and is_k_connected are unused here; perfbench/test_tracer.py
+# checks that tracing wraps these bindings
 from .framework import exact_solve  # noqa: F401
-from .graph import ConnectivityMode, _biconnected, is_k_connected
-from .spqr import VIRTUAL, _decompose, build_spqr  # noqa: F401
+from .graph import _biconnected, is_k_connected  # noqa: F401
+from .spqr import VIRTUAL, build_spqr
 from .streams import item_bucket
 
 
@@ -73,12 +72,15 @@ def _sides(tree):
 
 
 def _needed_edges(g):
-    """Per edge id, whether an edge-minimal 2-connected subgraph of the
-    2-connected g keeps it.  Edges are tried from the highest id down on one
-    adjacency list: each is unlinked, and linked back only if the rest is no
-    longer 2-connected (one lowpoint DFS).  An edge at a vertex of degree 2
-    stays untried, since without it that vertex would hang off a cut vertex."""
+    """Per edge id, whether an edge-minimal 2-connected subgraph of g keeps
+    it; a g that is not 2-connected raises ValueError.  Edges are tried from
+    the highest id down on one adjacency list: each is unlinked, and linked
+    back only if the rest is no longer 2-connected (one lowpoint DFS).  An
+    edge at a vertex of degree 2 stays untried, since without it that vertex
+    would hang off a cut vertex."""
     adj = g.adjacency()
+    if not _biconnected(adj):
+        raise ValueError("base graph must be 2-vertex-connected")
     needed = [False] * len(g.edges)
     for eid in range(len(g.edges) - 1, -1, -1):
         u, v, _ = g.edges[eid]
@@ -114,22 +116,20 @@ class Cap2State:
         and replay the removed base edges as weight-0 links.
 
         Thinning (`_needed_edges`) tries each edge once, highest id first,
-        on one adjacency list; the decomposition keeps cycle skeletons whole.
-        g is validated once, here; the tree is built by `build_spqr`'s
-        unchecked core, as the thinned graph meets its checks.  It stays
-        2-connected, and it is simple: the later of two parallel copies is
-        tried while the earlier is still there, so both endpoints then have
-        degree 3 or more (each vertex of a 2-connected graph on 4 or more
-        vertices has a second neighbour), and the copy goes, since its twin
-        keeps every connection."""
+        on one adjacency list, which first checks that g is 2-connected; the
+        decomposition keeps cycle skeletons whole.  `build_spqr` checks the
+        thinned graph again, and it always passes: it stays 2-connected, and
+        it is simple, as the later of two parallel copies is tried while the
+        earlier is still there, so both endpoints then have degree 3 or more
+        (each vertex of a 2-connected graph on 4 or more vertices has a
+        second neighbour), and the copy goes, since its twin keeps every
+        connection."""
         if g.n < 4:
             raise ValueError("need at least 4 vertices to aim for 3-connectivity")
-        if not is_k_connected(g, 2, ConnectivityMode.VERTEX):
-            raise ValueError("base graph must be 2-vertex-connected")
         needed = _needed_edges(g)
         minimal = g.subgraph(eid for eid, keep in enumerate(needed) if keep)
         removed = [e for e, keep in zip(g.edges, needed) if not keep]
-        tree = _decompose(minimal)
+        tree = build_spqr(minimal)
         return Cap2State(minimal, removed, tree, scheme)
 
     # -- stream phase

@@ -88,13 +88,15 @@ class Graph:
     def subgraph(self, edge_ids):
         """Same vertex set, edges restricted to the given ids (order kept);
         an id that is not an int in 0..len(edges)-1 raises ValueError."""
+        ids = set(edge_ids)
         try:
-            keep = sorted(set(edge_ids))
-            if not keep or (0 <= keep[0] and keep[-1] < len(self.edges)):
-                return Graph(self.n, tuple(self.edges[i] for i in keep), self.reliable)
-        except TypeError:  # an id that does not compare with ints or index a tuple
-            pass
-        raise ValueError(f"edge ids must be ints in 0..{len(self.edges) - 1}")
+            keep = sorted(ids)
+            edges = tuple(self.edges[i] for i in keep) if not keep or keep[0] >= 0 else None
+        except (TypeError, IndexError):  # a non-int id, or one past the last edge
+            edges = None
+        if edges is None:
+            raise ValueError(f"edge ids must be ints in 0..{len(self.edges) - 1}")
+        return Graph(self.n, edges, self.reliable)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,6 @@ Correctness is the contract here, not linear time: each split search runs
 one cut-vertex DFS of G - a per skeleton vertex a, O(n (n + m)), and a
 skeleton can be split up to O(n) times.  Each split search labels the
 pair's separation classes on its own adjacency of the skeleton.
-`_decompose` is `build_spqr` without its simple and 2-connected checks,
-for a caller whose input meets them by construction (cap2's thinned base).
 """
 
 from __future__ import annotations
@@ -203,12 +201,6 @@ def build_spqr(g):
         seen_pairs.add(key)
     if not is_k_connected(g, 2, ConnectivityMode.VERTEX):
         raise ValueError("graph is not 2-vertex-connected")
-    return _decompose(g)
-
-
-def _decompose(g):
-    """`build_spqr` without its input checks: the caller vouches that g is
-    simple, 2-connected and has at least 3 vertices."""
     edges = [SkelEdge(u, v, REAL, eid) for eid, (u, v, _) in enumerate(g.edges)]
     return _assemble(*_split_components(edges))
 

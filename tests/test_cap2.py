@@ -116,10 +116,9 @@ def _is_simple(g):
     return len({frozenset((u, v)) for u, v, _ in g.edges}) == len(g.edges)
 
 
-def test_thinned_base_meets_the_checks_it_skips():
-    # from_base validates g once and builds the tree without build_spqr's
-    # simple and 2-connected checks: thinning must leave a graph that passes
-    # both and decomposes to the same tree
+def test_thinned_base_is_simple_and_decomposes_alone():
+    # from_base checks g once while thinning; the thinned base must be simple
+    # (the parallel copies gone) and decompose to the same tree on its own
     multigraphs = 0
     for g in chain(_thinning_corpus(), _side_map_corpus()):
         multigraphs += not _is_simple(g)
