@@ -28,7 +28,6 @@ from .graph import (
     RequirementMap,
     root_tree,
     tree_child_toward,
-    tree_in_subtree,
     tree_lca,
 )
 from .streams import StreamingMst, item_bucket
@@ -60,7 +59,6 @@ class RootedTree:
         )
 
     lca = tree_lca
-    in_subtree = tree_in_subtree
     child_toward = tree_child_toward
 
 
@@ -235,7 +233,7 @@ class LinkCore:
                 c
                 for c in tree.children[x]
                 if any(
-                    tree.in_subtree(h[a], c) and not tree.in_subtree(l[b], x)
+                    tree.lca(h[a], c) == c and tree.lca(l[b], x) != x
                     for u, v, _ in opt
                     for a, b in ((u, v), (v, u))
                 )

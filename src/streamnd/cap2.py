@@ -215,6 +215,6 @@ class Cap2State:
                     picked.append(lookup_minmax(meet, min(pu, pv), j, "max"))
             for a, b in ((u, v), (v, u)):
                 x = tree.h_map[a]
-                if tree.nodes[x].kind == "S" and not tree.in_subtree(tree.l_map[b], x):
+                if tree.nodes[x].kind == "S" and tree.lca(tree.l_map[b], x) != x:
                     picked.append(lookup_minmax(x, self._sides[a][x], j, "min"))
         return unique_links(picked)

@@ -29,8 +29,8 @@ class FrameworkConfig:
     analysis: Analysis = Analysis.FRACTIONAL
 
     def __post_init__(self):
-        if self.t < 1:
-            raise ValueError("t must be at least 1")
+        if not isinstance(self.t, int) or self.t < 1:
+            raise ValueError(f"stretch parameter t={self.t!r} must be a positive integer")
 
     @property
     def eps(self):
@@ -91,12 +91,13 @@ def exact_solve(g, req, mode, fixed=()):
     no solution strictly lighter than the incumbent, and only a strictly
     lighter one replaces it, so the bound changes no result, only the work.
 
-    The same table screens feasibility queries: a node whose fixed and chosen
-    edges leave some d(x) > 0 cannot be feasible, so it branches without a
-    `check_feasible` call.  The first query, on every edge, is always made, so
-    a bad map still raises ValueError; and a skipped set, short in degree like
-    all its subsets, never holds a later "rest" query, which passes the degree
-    test, so no cache hit is lost and calls only go away.
+    The same table is the only degree screen (`check_feasible` has none): a
+    node whose fixed and chosen edges leave some d(x) > 0 branches without a
+    `check_feasible` call, and a remainder (chosen plus every undecided edge)
+    is asked about only once the bound finds d(x) undecided edges at every x.
+    The first query, on every edge, is always made, so a bad map still raises
+    ValueError.  An include child's remainder is its parent's, so the cache
+    answers it.
     """
     fixed = frozenset(fixed)
     if not all(isinstance(i, int) and 0 <= i < len(g.edges) for i in fixed):
@@ -181,12 +182,11 @@ def exact_solve(g, req, mode, fixed=()):
                 degree_short = True
         return (total + 1) // 2, degree_short
 
-    # depth-first over (next index, chosen ids, weight, whether chosen plus
-    # free[i:] is known feasible), exclude branch before include branch
+    # depth-first over (next index, chosen ids, weight), exclude branch first
     best_weight, best_ids = None, None
-    stack = [(0, [], fixed_weight, True)]
+    stack = [(0, [], fixed_weight)]
     while stack:
-        i, chosen, weight, rest_known_good = stack.pop()
+        i, chosen, weight = stack.pop()
         if best_weight is not None and weight >= best_weight:
             continue
         bound = completion_bound(i, chosen)
@@ -200,12 +200,10 @@ def exact_solve(g, req, mode, fixed=()):
             continue
         if i == len(free):
             continue
-        # the include branch keeps chosen+rest identical to this node's, so
-        # only the exclude branch has to re-prove the remainder feasible
-        if not rest_known_good and not feasible(base_ids + chosen + free[i:]):
+        if not feasible(base_ids + chosen + free[i:]):
             continue
-        stack.append((i + 1, chosen + [free[i]], weight + weights[i], True))
-        stack.append((i + 1, chosen, weight, False))
+        stack.append((i + 1, chosen + [free[i]], weight + weights[i]))
+        stack.append((i + 1, chosen, weight))
 
     if best_weight is None:
         raise InfeasibleError("no feasible edge subset exists in this graph")

@@ -158,14 +158,6 @@ def tree_lca(tree, u, v):
     return u
 
 
-def tree_in_subtree(tree, z, x):
-    """True iff node z lies in the subtree rooted at node x (x counts)."""
-    parent, depth = tree.parent, tree.depth
-    while depth[z] > depth[x]:
-        z = parent[z]
-    return z == x
-
-
 def tree_child_toward(tree, x, z):
     """The child of node x whose subtree holds node z; ValueError unless z
     lies strictly below x."""
@@ -399,7 +391,9 @@ def _flows_meet(g, needed, mode):
 
 
 def check_feasible(g, req, mode):
-    """True iff every required pair reaches its requirement in this graph."""
+    """True iff every required pair reaches its requirement in this graph;
+    every entry is validated, zero ones too.  No degree screen: `exact_solve`'s
+    need table keeps sets short of degree away after its first call."""
     needed = []
     for u, v, r in req.pairs():
         _check_pair(g, u, v)
@@ -410,21 +404,12 @@ def check_feasible(g, req, mode):
                 f"element-connectivity requirement on non-reliable pair ({u},{v})"
             )
         needed.append((u, v, r))
-    # a pair can never exceed its smaller endpoint degree; screen before flows
-    deg = [0] * g.n
-    for a, b, _ in g.edges:
-        deg[a] += 1
-        deg[b] += 1
-    for u, v, r in needed:
-        if min(deg[u], deg[v]) < r:
-            return False
     if not needed:
         return True
     if mode is ConnectivityMode.VERTEX:
         level = _uniform_level(g.n, needed)
         if level is not None:
             return _dfs_k_connected(g.adjacency(), level)
-    needed.sort(key=lambda t: min(deg[t[0]], deg[t[1]]))
     return _flows_meet(g, needed, mode)
 
 
@@ -435,8 +420,8 @@ def is_k_connected(g, k, mode):
     by lowpoint DFS.  Otherwise every pair runs a flow on one network that is
     reset between pairs.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    if not isinstance(k, int) or k < 0:
+        raise ValueError(f"connectivity k={k!r} must be a nonnegative integer")
     if k == 0:
         return True
     if mode is ConnectivityMode.VERTEX:

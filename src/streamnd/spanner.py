@@ -62,10 +62,10 @@ class FtConfig:
     test_kind: TestKind | None = None
 
     def __post_init__(self):
-        if self.f < 0:
-            raise ValueError("fault budget f must be nonnegative")
-        if self.t < 1:
-            raise ValueError("stretch parameter t must be at least 1")
+        if not isinstance(self.f, int) or self.f < 0:
+            raise ValueError(f"fault budget f={self.f!r} must be a nonnegative integer")
+        if not isinstance(self.t, int) or self.t < 1:
+            raise ValueError(f"stretch parameter t={self.t!r} must be a positive integer")
         if Fraction(self.eps) <= 0:
             raise ValueError("eps must be positive")
 

@@ -28,7 +28,6 @@ from .graph import (
     is_k_connected,
     root_tree,
     tree_child_toward,
-    tree_in_subtree,
     tree_lca,
 )
 
@@ -121,7 +120,6 @@ class SpqrTree:
     nodes_of_vertex: dict  # vertex -> tuple of nids containing a copy
 
     lca = tree_lca
-    in_subtree = tree_in_subtree
     child_toward = tree_child_toward
 
     def skeleton_edge_total(self):

@@ -378,7 +378,7 @@ def _reference_picks(tree, h, l, slots, msts, opt):
             c
             for c in tree.children[x]
             if any(
-                tree.in_subtree(h[a], c) and not tree.in_subtree(l[b], x)
+                tree.lca(h[a], c) == c and tree.lca(l[b], x) != x
                 for u, v, _ in opt
                 for a, b in ((u, v), (v, u))
             )
@@ -630,7 +630,7 @@ def _sol_from_opt_by_scan(state, opt, dense):
                 ppair = parent_pair(nid)
                 if ppair is not None and a in ppair:
                     continue
-                if tree.in_subtree(tree.l_map[b], nid):
+                if tree.lca(tree.l_map[b], nid) == nid:
                     continue
                 picked.append(lookup_minmax(nid, dense[nid][a], j, "min"))
     for nid, mst in state._core._msts.items():
@@ -638,8 +638,8 @@ def _sol_from_opt_by_scan(state, opt, dense):
             child
             for child in tree.children[nid]
             if any(
-                tree.in_subtree(tree.h_map[a], child)
-                and not tree.in_subtree(tree.l_map[b], nid)
+                tree.lca(tree.h_map[a], child) == child
+                and tree.lca(tree.l_map[b], nid) != nid
                 for u, v, _ in opt
                 for a, b in ((u, v), (v, u))
             )

@@ -1,6 +1,8 @@
 import gc
+import io
 import random
 from bisect import bisect_left
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -32,6 +34,7 @@ from streamnd import (
     spanner,
     verify_ft_spanner,
 )
+from streamnd import cli
 from streamnd.cap1 import LinkRec, solve_retained
 from streamnd.errors import InfeasibleError, ResourceLimitError
 
@@ -58,6 +61,10 @@ def test_config_derivations():
     cfg = FrameworkConfig(t=2, mode=E)
     assert cfg.fault_budget(2) == 9  # (2t-1)(2k-1)
     assert cfg.factor_bound(2) == 16
+    # t = 1.5 would give the fault budget 6.0
+    for t in (0, 1.5, "2", None):
+        with pytest.raises(ValueError):
+            FrameworkConfig(t=t, mode=V)
 
 
 def test_exact_solve_triangle_edge_mode():
@@ -347,6 +354,49 @@ def test_exact_solve_skips_only_degree_short_feasibility_calls(monkeypatch):
         assert new_calls == kept
         skipped += len(ref_calls) - len(new_calls)
     assert skipped > 0
+
+
+def test_feasibility_queries_after_the_first_meet_every_need(monkeypatch):
+    # `check_feasible` has no degree screen: after a solve's first, map-
+    # validating call, each graph `exact_solve` asks about gives every vertex
+    # x at least need(x) = max_y r(x, y) edges, over the bench's cap1, cap2
+    # and sndp solves and over the solver corpus
+    real_check, real_solve = framework.check_feasible, framework.exact_solve
+    first = [True]
+    checked = []
+
+    def solve(*args, **kwargs):
+        first[0] = True
+        return real_solve(*args, **kwargs)
+
+    def check(sub, req, mode):
+        if first[0]:
+            first[0] = False
+        else:
+            need, deg = [0] * sub.n, [0] * sub.n
+            for u, v, r in req.pairs():
+                need[u], need[v] = max(need[u], r), max(need[v], r)
+            for u, v, _ in sub.edges:
+                deg[u] += 1
+                deg[v] += 1
+            assert all(d >= nd for d, nd in zip(deg, need)), (sub.edges, req)
+            checked.append(1)
+        return real_check(sub, req, mode)
+
+    monkeypatch.setattr(framework, "check_feasible", check)
+    monkeypatch.setattr(framework, "exact_solve", solve)
+    monkeypatch.setattr(cap1, "exact_solve", solve)
+    for suite in ("cap1", "cap2", "sndp"):
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["bench", "--suite", suite, "--seeds", "1..10"]) == 0
+    assert checked
+    checked.clear()
+    for g, req, mode, fixed in solver_corpus(300):
+        try:
+            framework.exact_solve(g, req, mode, fixed)
+        except InfeasibleError:
+            pass
+    assert checked
 
 
 def test_exact_solve_rejects_bad_maps_with_value_error():

@@ -75,6 +75,52 @@ def test_check_feasible_matches_per_pair_oracle():
             assert check_feasible(g, req, mode) == want
 
 
+def _short_of_degree(seed):
+    """A seeded multigraph where some vertex x is short of degree: isolated,
+    pendant, tied to one neighbour by parallel copies only, or n <= 5."""
+    rng = random.Random(seed)
+    shape = seed % 4
+    n = rng.randint(2, 5) if shape == 3 else rng.randint(4, 8)
+    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.7]
+    edges *= rng.choice((1, 1, 2))
+    x = rng.randrange(n)
+    y = rng.choice([z for z in range(n) if z != x])
+    if shape < 3:
+        edges = [e for e in edges if x not in e]
+        edges += [(x, y)] * (0, 1, rng.randint(2, 5))[shape]
+    return Graph.build(n, edges), x, rng
+
+
+def test_check_feasible_short_of_degree_matches_all_pair_flows():
+    # the inputs a degree screen used to decide, against plain flows over
+    # every required pair in map order, with no shortcut
+    seen = set()
+    for seed in range(120):
+        g, x, rng = _short_of_degree(seed)
+        deg_x = sum(x in e[:2] for e in g.edges)
+        # element mode asks pair maps about reliable vertices only
+        loose = Graph.build(g.n, g.edges, [z == x or rng.random() < 0.6 for z in range(g.n)])
+        ends = [z for z in range(g.n) if loose.reliable[z] and z != x]
+        for mode in ConnectivityMode:
+            for r in range(5):
+                maps = [(g, RequirementMap.uniform(g.n, r))]
+                if ends:
+                    pairs = {tuple(sorted((x, rng.choice(ends)))): r}
+                    for _ in range(2):
+                        u, v = sorted(rng.sample([x] + ends, 2))
+                        pairs.setdefault((u, v), rng.randint(0, r))
+                    pairs = [(u, v, k) for (u, v), k in pairs.items()]
+                    maps.append((loose, RequirementMap.from_pairs(pairs)))
+                for h, req in maps:
+                    needed = [(u, v, k) for u, v, k in req.pairs() if k]
+                    want = graph._flows_meet(h, needed, mode)
+                    assert check_feasible(h, req, mode) == want, (seed, mode, r)
+                    short = any(k > deg_x for u, v, k in needed if x in (u, v))
+                    seen.add((mode, short, want))
+    assert {(mode, True, False) for mode in ConnectivityMode} <= seen
+    assert {(mode, False, ok) for mode in ConnectivityMode for ok in (True, False)} <= seen
+
+
 def test_element_requirement_on_non_reliable_vertex_rejected():
     g = Graph.build(3, [(0, 1), (1, 2), (0, 2)], reliable=[True, False, True])
     with pytest.raises(ValueError):
@@ -322,6 +368,11 @@ def test_requirement_values_must_be_nonnegative_ints(r):
         RequirementMap.from_pairs([(0, 1, r)])
     with pytest.raises(ValueError):
         RequirementMap.uniform(4, r)
+    # k-connectivity takes the same rule: 2.5 must not answer for k = 3
+    k4 = Graph.build(4, [(u, v) for u, v in itertools.combinations(range(4), 2)])
+    for mode in ConnectivityMode:
+        with pytest.raises(ValueError):
+            is_k_connected(k4, r, mode)
 
 
 def test_graph_file_round_trip(tmp_path):

@@ -134,6 +134,11 @@ def test_config_validation():
         FtConfig(f=-1, t=2, mode=VF)
     with pytest.raises(ValueError):
         FtConfig(f=1, t=0, mode=VF)
+    # a fraction would give fractional flow capacities or hop thresholds, and
+    # a string would fail its comparison with TypeError
+    for f, t in ((1.5, 2), ("1", 2), (1, 2.5), (1, "2"), (None, 2)):
+        with pytest.raises(ValueError, match="integer"):
+            FtConfig(f=f, t=t, mode=VF)
     # past the exact test's polynomial cases the automatic choice is peeling
     state = FtSpannerState(40, FtConfig(f=5, t=3, mode=VF), 1)
     assert state.config.test_kind is TestKind.PEELING_EFT
