@@ -50,6 +50,7 @@ MODES = {
 }
 FAULT_MODES = {"vft": FaultMode.VERTEX, "eft": FaultMode.EDGE}
 TESTS = {"exact": TestKind.EXACT, "peeling": TestKind.PEELING_EFT}
+_BENCH_EPS = Fraction(1, 2)  # bucket ratio of the spanner, cap1 and cap2 bench suites
 
 
 def _fraction(text):
@@ -77,6 +78,16 @@ class _Timer:
     def __exit__(self, *exc):
         self.ms = int((time.monotonic() - self.t0) * 1000)
         return False
+
+
+# augmentation commands: state class, target vertex connectivity, help
+# summary, and the generator settings of their bench suite
+_CAPS = {
+    "cap1": (Cap1State, 2, "augment a tree to 2-vertex-connectivity",
+             dict(family=Family.TREE, n=8, link_count=4)),
+    "cap2": (Cap2State, 3, "augment a 2-connected base to 3-connectivity",
+             dict(family=Family.TWO_CONNECTED, n=7, link_count=3, chords=2)),
+}
 
 
 def _build_parser():
@@ -113,19 +124,13 @@ def _build_parser():
     p.add_argument("--shuffle-seed", type=int, default=None)
     p.add_argument("--oracle", action="store_true")
 
-    p = command("cap1", "augment a tree to 2-vertex-connectivity")
-    p.add_argument("--base", required=True)
-    p.add_argument("--links", required=True)
-    p.add_argument("--eps", type=_fraction, required=True)
-    p.add_argument("--shuffle-seed", type=int, default=None)
-    p.add_argument("--oracle", action="store_true")
-
-    p = command("cap2", "augment a 2-connected base to 3-connectivity")
-    p.add_argument("--base", required=True)
-    p.add_argument("--links", required=True)
-    p.add_argument("--eps", type=_fraction, required=True)
-    p.add_argument("--shuffle-seed", type=int, default=None)
-    p.add_argument("--oracle", action="store_true")
+    for name, (_, _, summary, _) in _CAPS.items():
+        p = command(name, summary)
+        p.add_argument("--base", required=True)
+        p.add_argument("--links", required=True)
+        p.add_argument("--eps", type=_fraction, required=True)
+        p.add_argument("--shuffle-seed", type=int, default=None)
+        p.add_argument("--oracle", action="store_true")
 
     p = command("oracle", "optimal solution by brute-force enumeration")
     p.add_argument("--base", required=True)
@@ -143,18 +148,9 @@ def _build_parser():
     p.add_argument("--eps", type=_fraction, required=True)
 
     p = command("bench", "seeded suite runs, one JSON line per seed")
-    p.add_argument("--suite", choices=["spanner", "sndp", "cap1", "cap2", "mst", "menger"], required=True)
+    p.add_argument("--suite", choices=_SUITES, required=True)
     p.add_argument("--seeds", required=True, help="inclusive range, e.g. 1..100")
-    p.add_argument("--eps", type=_fraction, default=Fraction(1, 2))
     return top
-
-
-# augmentation commands: state class, target vertex connectivity, and the
-# generator settings of their bench suite
-_CAPS = {
-    "cap1": (Cap1State, 2, dict(family=Family.TREE, n=8, link_count=4)),
-    "cap2": (Cap2State, 3, dict(family=Family.TWO_CONNECTED, n=7, link_count=3, chords=2)),
-}
 
 
 def _cmd_spanner(args):
@@ -197,36 +193,39 @@ def _cmd_spanner(args):
     return 0
 
 
-def _cmd_sndp(args):
-    n, edges = parse_graph_file(args.graph)
-    stream = EdgeStream.from_edges(n, edges, shuffle_seed=args.shuffle_seed)
-    req = load_requirements(args.req, n)
-    reliable = None
-    if args.reliability:
-        reliable = load_reliability(args.reliability, n)
-    cfg = FrameworkConfig(t=args.t, mode=MODES[args.mode], analysis=Analysis(args.analysis))
+def _run_sndp(n, edges, req, cfg, reliable=None, shuffle_seed=None, oracle=True):
+    """One pass of the edges through the framework, its solve and, on
+    request, the brute-force optimum: (report, test kind, ms of the run)."""
+    stream = EdgeStream.from_edges(n, edges, shuffle_seed=shuffle_seed)
     with _Timer() as timer:
         result = run_framework(stream, req, cfg, reliable=reliable)
     report = {
-        "params": {
-            "mode": args.mode,
-            "t": args.t,
-            "analysis": args.analysis,
-            "f": cfg.fault_budget(req.k),
-            "eps": str(cfg.eps),
-            "k": req.k,
-            "test": result.test_kind.value,
-        },
         "stored_edges": result.stored_edges,
         "sol_weight": result.weight,
         "factor_bound": cfg.factor_bound(req.k),
-        "wall_time_ms": timer.ms,
     }
-    if args.oracle:
-        empty = Graph.build(n, (), reliable)
-        _, opt_weight = brute_optimal(empty, edges, req, MODES[args.mode])
-        report["opt_weight"] = opt_weight
-        report["ratio"] = _ratio(result.weight, opt_weight)
+    if oracle:
+        _, opt = brute_optimal(Graph.build(n, (), reliable), edges, req, cfg.mode)
+        report.update(opt_weight=opt, ratio=_ratio(result.weight, opt))
+    return report, result.test_kind, timer.ms
+
+
+def _cmd_sndp(args):
+    n, edges = parse_graph_file(args.graph)
+    req = load_requirements(args.req, n)
+    reliable = load_reliability(args.reliability, n) if args.reliability else None
+    cfg = FrameworkConfig(t=args.t, mode=MODES[args.mode], analysis=Analysis(args.analysis))
+    report, test, ms = _run_sndp(n, edges, req, cfg, reliable, args.shuffle_seed, args.oracle)
+    report["params"] = {
+        "mode": args.mode,
+        "t": args.t,
+        "analysis": args.analysis,
+        "f": cfg.fault_budget(req.k),
+        "eps": str(cfg.eps),
+        "k": req.k,
+        "test": test.value,
+    }
+    report["wall_time_ms"] = ms
     _emit(report, args.json_pretty)
     return 0
 
@@ -234,7 +233,7 @@ def _cmd_sndp(args):
 def _run_cap(name, base, links, eps, shuffle_seed=None, oracle=True):
     """One pass of the links through a fresh cap1/cap2 state, its solve and,
     on request, the brute-force optimum: (report, ms of the streamed part)."""
-    state_cls, augment_k, _ = _CAPS[name]
+    state_cls, augment_k, _, _ = _CAPS[name]
     stream = EdgeStream.from_edges(base.n, links, shuffle_seed=shuffle_seed)
     with _Timer() as timer:
         state = state_cls.from_base(base, BucketScheme(eps))
@@ -263,7 +262,7 @@ def _cmd_cap(args):
     base = load_graph(args.base)
     links = _load_links(args.links, base)
     report, ms = _run_cap(args.command, base, links, args.eps, args.shuffle_seed, args.oracle)
-    report.update(params={"eps": str(Fraction(args.eps)), "n": base.n}, wall_time_ms=ms)
+    report.update(params={"eps": str(args.eps), "n": base.n}, wall_time_ms=ms)
     _emit(report, args.json_pretty)
     return 0
 
@@ -306,13 +305,13 @@ def _cmd_verify_spanner(args):
 # -- bench suites; every line is deterministic for a fixed seed
 
 
-def _bench_cap(suite, seed, eps):
-    inst = generate(InstanceGenerator(seed=seed, **_CAPS[suite][2]))
-    report, _ = _run_cap(suite, inst.base, inst.links, eps)
+def _bench_cap(suite, seed):
+    inst = generate(InstanceGenerator(seed=seed, **_CAPS[suite][3]))
+    report, _ = _run_cap(suite, inst.base, inst.links, _BENCH_EPS)
     return dict(report, seed=seed)
 
 
-def _bench_sndp(seed, eps):
+def _bench_sndp(seed):
     gen = InstanceGenerator(seed=seed, family=Family.CYCLE_PLUS_CHORDS, n=8, chords=3)
     inst = generate(gen)
     rng = random.Random(seed * 7_919 + 1)
@@ -330,24 +329,14 @@ def _bench_sndp(seed, eps):
         chosen[(0, 1)] = 1
     req = RequirementMap.from_pairs([(u, v, r) for (u, v), r in chosen.items()])
     cfg = FrameworkConfig(t=2, mode=ConnectivityMode.VERTEX, analysis=Analysis.INTEGRAL)
-    stream = EdgeStream.from_edges(inst.base.n, inst.base.edges)
-    result = run_framework(stream, req, cfg)
-    empty = Graph.build(inst.base.n, ())
-    _, opt = brute_optimal(empty, inst.base.edges, req, ConnectivityMode.VERTEX)
-    return {
-        "seed": seed,
-        "stored_edges": result.stored_edges,
-        "sol_weight": result.weight,
-        "opt_weight": opt,
-        "ratio": _ratio(result.weight, opt),
-        "factor_bound": cfg.factor_bound(req.k),
-    }
+    report, _, _ = _run_sndp(inst.base.n, inst.base.edges, req, cfg)
+    return dict(report, seed=seed)
 
 
-def _bench_spanner(seed, eps):
+def _bench_spanner(seed):
     gen = InstanceGenerator(seed=seed, family=Family.GNP, n=16, edge_prob=0.3)
     inst = generate(gen)
-    config = FtConfig(f=1, t=2, mode=FaultMode.VERTEX, eps=eps, test_kind=TestKind.EXACT)
+    config = FtConfig(f=1, t=2, mode=FaultMode.VERTEX, eps=_BENCH_EPS, test_kind=TestKind.EXACT)
     stream = EdgeStream.from_edges(inst.base.n, inst.base.edges)
     state = build_spanner(stream, config)
     return {
@@ -357,7 +346,7 @@ def _bench_spanner(seed, eps):
     }
 
 
-def _bench_mst(seed, eps):
+def _bench_mst(seed):
     rng = random.Random(seed)
     n = 9
     links = [
@@ -372,7 +361,7 @@ def _bench_mst(seed, eps):
     return {"seed": seed, "stored_weight": stored, "offline_weight": offline, "ratio": _ratio(stored, offline)}
 
 
-def _bench_menger(seed, eps):
+def _bench_menger(seed):
     gen = InstanceGenerator(seed=seed, family=Family.GNP, n=6, edge_prob=0.5)
     inst = generate(gen)
     agree = 0
@@ -387,10 +376,10 @@ def _bench_menger(seed, eps):
 
 
 _SUITES = {
+    "spanner": _bench_spanner,
+    "sndp": _bench_sndp,
     "cap1": partial(_bench_cap, "cap1"),
     "cap2": partial(_bench_cap, "cap2"),
-    "sndp": _bench_sndp,
-    "spanner": _bench_spanner,
     "mst": _bench_mst,
     "menger": _bench_menger,
 }
@@ -407,7 +396,7 @@ def _cmd_bench(args):
     runner = _SUITES[args.suite]
     max_ratio = None
     for seed in range(lo, hi + 1):
-        report = runner(seed, args.eps)
+        report = runner(seed)
         ratio = report.get("ratio")
         if ratio is not None:
             max_ratio = ratio if max_ratio is None else max(max_ratio, ratio)

@@ -344,16 +344,12 @@ def generate(gen):
         links = _links_until(rng, gen, base, 2, ConnectivityMode.VERTEX)
         return Instance(base, links)
     if gen.family is Family.TWO_CONNECTED:
-        for _ in range(50):
-            if gen.n >= 5 and gen.seed % 2:
-                edges = _theta(rng, gen)
-            else:
-                edges = _cycle_plus_chords(rng, gen)
-            base = Graph.build(gen.n, edges)
-            if is_k_connected(base, 2, ConnectivityMode.VERTEX):
-                links = _links_until(rng, gen, base, 3, ConnectivityMode.VERTEX)
-                return Instance(base, links)
-        raise RuntimeError("could not certify a 2-connected base")
+        # a Hamiltonian cycle plus chords and a theta are 2-connected from n = 3 on
+        if gen.n < 3:
+            raise RuntimeError("could not certify a 2-connected base")
+        edges = _theta(rng, gen) if gen.n >= 5 and gen.seed % 2 else _cycle_plus_chords(rng, gen)
+        base = Graph.build(gen.n, edges)
+        return Instance(base, _links_until(rng, gen, base, 3, ConnectivityMode.VERTEX))
     if gen.family is Family.GNP:
         edges = []
         for u in range(gen.n):

@@ -193,9 +193,13 @@ def ft_test_exact(h, u, v, f, t_threshold, mode):
     sum_{i<=f} L^i further hop queries settle the verdict, where a path has
     L <= t_threshold - 1 inner vertices (vertex mode) or L <= t_threshold
     edges (edge mode); length-bounded cuts are NP-hard from 4 hops (edge
-    faults) and 5 hops (vertex faults).  `h` is the bucket's `HopGraph`."""
+    faults) and 5 hops (vertex faults).  `h` is the bucket's `HopGraph`.
+    In edge mode, f at least an endpoint's degree cuts every path at once:
+    fault all of that endpoint's edges, with no search over parallel copies."""
     if t_threshold == 3:
         return u != v and _three_hop_cut_fits(h, u, v, f, mode)
+    if mode is FaultMode.EDGE and u != v and f >= min(len(h.adj[u]), len(h.adj[v])):
+        return True
     found = len(_greedy_disjoint_short_paths(h, u, v, t_threshold, mode, f + 1))
     if found == 0:
         return True

@@ -143,7 +143,8 @@ def test_seed_flag_is_gone(tmp_path, argv, message):
     "argv, message",
     [
         (["bench", "--suite", "mst", "--seed", "1..2"], "required: --seeds"),
-        (["bench", "--suite", "mst", "--seeds", "1..2", "--ep", "1/3"], "unrecognized arguments: --ep 1/3"),
+        (["spanner", "--mode", "vft", "--f", "1", "--t", "2", "-i", "g.txt", "-o", "h.txt",
+          "--eps", "1/3", "--ep", "1/3"], "unrecognized arguments: --ep 1/3"),
     ],
     ids=["seed-for-seeds", "ep-for-eps"],
 )
@@ -160,6 +161,21 @@ def test_bad_seed_range_is_a_usage_error(seeds):
     assert code == 1
     assert out == ""
     assert f"bad seed range {seeds!r}" in err
+
+
+def test_exact_edge_test_on_many_parallel_edges(tmp_path):
+    # n <= 12 picks the exact test; a budget past an endpoint's degree is a
+    # cut of that endpoint's edges, not one branching level per parallel copy
+    lines = "0 1 1\n" * 1200 + "1 2 1\n2 3 1\n"
+    graph = write(tmp_path / "multi.txt", f"4 1202\n{lines}")
+    code, out, err = run_cli(
+        ["spanner", "--mode", "eft", "--f", "5000", "--t", "3", "--eps", "1/3",
+         "-i", graph, "-o", str(tmp_path / "h.txt")]
+    )
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["params"]["test"] == "exact"
+    assert report["stored_edges"] == 1202
 
 
 def test_large_vertex_fault_budget_picks_peeling(tmp_path):

@@ -97,10 +97,23 @@ def test_generator_determinism():
 
 
 def test_generator_two_connected_is_certified():
-    for seed in range(6):
-        gen = InstanceGenerator(seed=seed, family=Family.TWO_CONNECTED, n=8, chords=2)
-        inst = generate(gen)
-        assert is_k_connected(inst.base, 2, V)
+    # the generator draws each base once, with no recheck: odd seeds from
+    # n = 5 on draw a theta, every other case a cycle plus chords
+    for seed in range(201):
+        for n in range(3, 13):
+            for chords in (2, 3):
+                gen = InstanceGenerator(
+                    seed=seed, family=Family.TWO_CONNECTED, n=n, chords=chords,
+                    ensure_augmentable=False,
+                )
+                assert is_k_connected(generate(gen).base, 2, V), (seed, n, chords)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_generator_two_connected_needs_three_vertices(n):
+    gen = InstanceGenerator(seed=1, family=Family.TWO_CONNECTED, n=n)
+    with pytest.raises(RuntimeError, match="could not certify a 2-connected base"):
+        generate(gen)
 
 
 def test_generator_weight_range():

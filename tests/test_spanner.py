@@ -617,6 +617,17 @@ def test_exact_matches_reference_on_seeded_multigraphs():
         verdicts.add((mode, f, threshold, want))
     # every (mode, f, threshold) occurs with both verdicts
     assert len(verdicts) == 2 * 6 * 3 * 2, sorted(verdicts)
+    # f from one below the smaller endpoint degree up: in edge mode, from the
+    # degree on, faulting that endpoint's edges is a cut with no search
+    for _ in range(1000):
+        n = rng.randint(2, 9)
+        u, v = rng.sample(range(n), 2)
+        ref, new = _both_graphs(n, _random_multigraph(rng, n, u, v))
+        mode = rng.choice((VF, EF))
+        f = max(0, min(len(new.adj[u]), len(new.adj[v])) + rng.randint(-1, 2))
+        threshold = rng.choice((1, 3, 5))
+        want = _ref_ft_test_exact(ref, u, v, f, threshold, mode)
+        assert ft_test_exact(new, u, v, f, threshold, mode) == want, (ref.edges, u, v, mode, f, threshold)
 
 
 class _CountingHopGraph(HopGraph):
